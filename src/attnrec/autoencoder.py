@@ -15,7 +15,7 @@ import numpy as np
 from scipy import sparse
 
 from . import storage
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, DataError, NumericalError
 from .nn import (
     Adam,
     Attention,
@@ -32,6 +32,10 @@ from .nn import (
 logger = logging.getLogger(__name__)
 
 ENCODE_CHUNK = 512
+
+# Checkpoint naming: each layer type's name prefix and saved attributes.
+_SLOT_ATTRS = {Dense: ("dense", ("w", "b")),
+               BatchNorm: ("bn", ("gamma", "beta", "running_mean", "running_var"))}
 
 
 class AttentiveAutoencoder:
@@ -63,9 +67,7 @@ class AttentiveAutoencoder:
         decoder += [Dense(mirrored[-2], mirrored[-1], rng), Sigmoid()]
 
         self._encoder = Sequential(encoder)
-        self._attention = Attention()
-        self._decoder = Sequential(decoder)
-        self.net = Sequential(encoder + [self._attention] + decoder)
+        self.net = Sequential(encoder + [Attention()] + decoder)
 
     @property
     def latent_dim(self) -> int:
@@ -77,57 +79,40 @@ class AttentiveAutoencoder:
 
     def encoder_output(self, rows) -> np.ndarray:
         """Encoder stack output before the attention gate (evaluation mode)."""
-        return self._forward_rows(rows, through_attention=False)
-
-    def encode(self, rows) -> np.ndarray:
-        """Latent rows: attention-gated encoder output, evaluation mode."""
-        return self._forward_rows(rows, through_attention=True)
-
-    def _forward_rows(self, rows, through_attention: bool) -> np.ndarray:
         dense_rows = _as_dense(rows)
         if dense_rows.shape[1] != self.input_dim:
             raise ValueError(
                 f"expected rows of width {self.input_dim}, got {dense_rows.shape[1]}"
             )
-        chunks = []
-        for start in range(0, dense_rows.shape[0], ENCODE_CHUNK):
-            x = self._encoder.forward(dense_rows[start:start + ENCODE_CHUNK], training=False)
-            if through_attention:
-                x = attention_bottleneck(x)
-            chunks.append(x)
-        if not chunks:
-            return np.zeros((0, self.latent_dim))
-        return np.concatenate(chunks, axis=0)
+        chunks = [self._encoder.forward(dense_rows[start:start + ENCODE_CHUNK], training=False)
+                  for start in range(0, dense_rows.shape[0], ENCODE_CHUNK)]
+        return np.concatenate(chunks) if chunks else np.zeros((0, self.latent_dim))
+
+    def encode(self, rows) -> np.ndarray:
+        """Latent rows: attention-gated encoder output, evaluation mode."""
+        return attention_bottleneck(self.encoder_output(rows))
+
+    def _slots(self):
+        """(name, array) for every checkpointed tensor, in layer order."""
+        counts = {}
+        for layer in self.net.layers:
+            if type(layer) in _SLOT_ATTRS:
+                prefix, attrs = _SLOT_ATTRS[type(layer)]
+                index = counts[prefix] = counts.get(prefix, -1) + 1
+                for attr in attrs:
+                    yield f"{prefix}{index}/{attr}", getattr(layer, attr)
 
     def named_tensors(self) -> dict:
-        tensors = {}
-        dense_i = bn_i = 0
-        for layer in self.net.layers:
-            if isinstance(layer, Dense):
-                tensors[f"dense{dense_i}/w"] = layer.w
-                tensors[f"dense{dense_i}/b"] = layer.b
-                dense_i += 1
-            elif isinstance(layer, BatchNorm):
-                tensors[f"bn{bn_i}/gamma"] = layer.gamma
-                tensors[f"bn{bn_i}/beta"] = layer.beta
-                tensors[f"bn{bn_i}/running_mean"] = layer.running_mean
-                tensors[f"bn{bn_i}/running_var"] = layer.running_var
-                bn_i += 1
-        return tensors
+        return dict(self._slots())
 
     def load_tensors(self, tensors: dict):
-        dense_i = bn_i = 0
-        for layer in self.net.layers:
-            if isinstance(layer, Dense):
-                layer.w[...] = tensors[f"dense{dense_i}/w"]
-                layer.b[...] = tensors[f"dense{dense_i}/b"]
-                dense_i += 1
-            elif isinstance(layer, BatchNorm):
-                layer.gamma[...] = tensors[f"bn{bn_i}/gamma"]
-                layer.beta[...] = tensors[f"bn{bn_i}/beta"]
-                layer.running_mean[...] = tensors[f"bn{bn_i}/running_mean"]
-                layer.running_var[...] = tensors[f"bn{bn_i}/running_var"]
-                bn_i += 1
+        for name, array in self._slots():
+            if name not in tensors:
+                raise DataError(f"checkpoint lacks tensor {name!r}")
+            if np.shape(tensors[name]) != array.shape:
+                raise DataError(f"checkpoint tensor {name!r} has shape "
+                                f"{np.shape(tensors[name])}, expected {array.shape}")
+            array[...] = tensors[name]
 
 
 def _as_dense(rows) -> np.ndarray:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,72 +123,45 @@ def objective(r: InteractionMatrix, model: FactorModel, prior: np.ndarray) -> fl
     return 0.5 * (weighted + reg_u + reg_v)
 
 
-def _solve_user(obs_factors: np.ndarray, gram: np.ndarray, model: FactorModel) -> np.ndarray:
-    d = gram.shape[0]
-    lhs = model.b * gram + np.diag(np.full(d, model.lambda_u))
-    if obs_factors.shape[0]:
-        lhs += (model.a - model.b) * (obs_factors.T @ obs_factors)
-        rhs = model.a * obs_factors.sum(axis=0)
-    else:
-        rhs = np.zeros(d)
-    return cho_solve(cho_factor(lhs), rhs)
+def _solve_row(obs_factors: np.ndarray, gram: np.ndarray, a: float, b: float,
+               lam: float, prior_row: np.ndarray) -> np.ndarray:
+    """Exact solve for one row, in prior-centered coordinates w = x - prior:
+    (B + lam I) w = rhs - B @ prior. A cold article with zero factors on the
+    other side inherits its prior bit-exactly; users pass a zero prior. With
+    no observations, ``obs^T obs`` and the sum are exact zeros.
+    """
+    B = b * gram + (a - b) * (obs_factors.T @ obs_factors)
+    rhs = a * obs_factors.sum(axis=0) - B @ prior_row
+    B.flat[::B.shape[0] + 1] += lam  # B + lam I, in place
+    return cho_solve(cho_factor(B), rhs) + prior_row
 
 
-def _solve_item(obs_factors: np.ndarray, gram: np.ndarray, model: FactorModel,
-                prior_row: np.ndarray) -> np.ndarray:
-    # Solve in prior-centered coordinates: with w = v - prior the system
-    # (B + lambda_v I) v = rhs + lambda_v*prior becomes
-    # (B + lambda_v I) w = rhs - B @ prior. A cold item with zero factors on
-    # the other side then inherits its prior bit-exactly.
-    d = gram.shape[0]
-    B = model.b * gram
-    if obs_factors.shape[0]:
-        B = B + (model.a - model.b) * (obs_factors.T @ obs_factors)
-        rhs = model.a * obs_factors.sum(axis=0)
-    else:
-        rhs = np.zeros(d)
-    lhs = B + np.diag(np.full(d, model.lambda_v))
-    w = cho_solve(cho_factor(lhs), rhs - B @ prior_row)
-    return w + prior_row
+def _half_sweep(rows, fixed, observed, lam, prior, a, b):
+    """Re-solve ``rows`` in place with ``fixed`` held constant; row i's observed
+    ``fixed`` rows are row i of ``observed`` (CSR for users, CSC for articles)."""
+    gram = fixed.T @ fixed
+    for i in range(rows.shape[0]):
+        obs = observed.indices[observed.indptr[i]:observed.indptr[i + 1]]
+        rows[i] = _solve_row(fixed[obs], gram, a, b, lam, prior[i])
 
 
-def update_user(i: int, r: InteractionMatrix, model: FactorModel,
-                gram_v: np.ndarray | None = None) -> np.ndarray:
+def update_user(i: int, r: InteractionMatrix, model: FactorModel) -> np.ndarray:
     """Closed-form solve for user row i with V fixed; does not mutate the model."""
-    if gram_v is None:
-        gram_v = model.V.T @ model.V
-    return _solve_user(model.V[r.user_items(i)], gram_v, model)
+    return _solve_row(model.V[r.user_items(i)], model.V.T @ model.V, model.a, model.b,
+                      model.lambda_u, np.zeros(model.d))
 
 
-def update_item(j: int, r: InteractionMatrix, model: FactorModel, prior: np.ndarray,
-                gram_u: np.ndarray | None = None) -> np.ndarray:
+def update_item(j: int, r: InteractionMatrix, model: FactorModel,
+                prior: np.ndarray) -> np.ndarray:
     """Closed-form solve for article row j with U fixed; does not mutate the model."""
-    if gram_u is None:
-        gram_u = model.U.T @ model.U
+    U = model.U
     csc = r.matrix.tocsc()
     obs_users = csc.indices[csc.indptr[j]:csc.indptr[j + 1]]
-    return _solve_item(model.U[obs_users], gram_u, model, prior[j])
-
-
-def _sweep_rows(n_rows: int, solve_row, threads: int):
-    """Run row solves, optionally across a thread pool; each row index is
-    solved by exactly one worker so results never depend on the schedule."""
-    if threads <= 1 or n_rows < 2 * threads:
-        for i in range(n_rows):
-            solve_row(i)
-        return
-    chunk = (n_rows + threads - 1) // threads
-
-    def run_chunk(lo):
-        for i in range(lo, min(lo + chunk, n_rows)):
-            solve_row(i)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(run_chunk, range(0, n_rows, chunk)))
+    return _solve_row(U[obs_users], U.T @ U, model.a, model.b, model.lambda_v, prior[j])
 
 
 def train_als(r: InteractionMatrix, model: FactorModel, prior: np.ndarray,
-              max_sweeps: int = 50, tol: float = 1e-4, threads: int = 1) -> list:
+              max_sweeps: int = 50, tol: float = 1e-4) -> list:
     """Alternate exact user and article solves until the objective stalls.
 
     Returns the objective trace (initial value, then one entry per sweep).
@@ -198,33 +170,17 @@ def train_als(r: InteractionMatrix, model: FactorModel, prior: np.ndarray,
     """
     if prior.shape != model.V.shape:
         raise ConfigError(f"prior shape {prior.shape} != V shape {model.V.shape}")
-    csr = r.matrix
     csc = r.matrix.tocsc()
+    zero_prior = np.zeros_like(model.U)
     trace = [objective(r, model, prior)]
     for sweep in range(max_sweeps):
-        gram_v = model.V.T @ model.V
-
-        def solve_user_row(i):
-            obs = csr.indices[csr.indptr[i]:csr.indptr[i + 1]]
-            model.U[i] = _solve_user(model.V[obs], gram_v, model)
-
-        _sweep_rows(model.U.shape[0], solve_user_row, threads)
-
-        gram_u = model.U.T @ model.U
-
-        def solve_item_row(j):
-            obs = csc.indices[csc.indptr[j]:csc.indptr[j + 1]]
-            model.V[j] = _solve_item(model.U[obs], gram_u, model, prior[j])
-
-        _sweep_rows(model.V.shape[0], solve_item_row, threads)
-
+        _half_sweep(model.U, model.V, r.matrix, model.lambda_u, zero_prior, model.a, model.b)
+        _half_sweep(model.V, model.U, csc, model.lambda_v, prior, model.a, model.b)
         value = objective(r, model, prior)
         prev = trace[-1]
         trace.append(value)
         if value - prev > 1e-9 * max(1.0, abs(prev)):
-            raise NumericalError(
-                f"objective increased at sweep {sweep}: {prev!r} -> {value!r}"
-            )
+            raise NumericalError(f"objective increased at sweep {sweep}: {prev!r} -> {value!r}")
         logger.debug("sweep %d: objective %.6f", sweep, value)
         rel_drop = (prev - value) / max(abs(prev), 1e-300)
         if rel_drop < tol:

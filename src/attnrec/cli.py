@@ -20,6 +20,7 @@ import logging
 import os
 import shutil
 import sys
+import tempfile
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -61,7 +62,6 @@ class ExperimentConfig:
     splits: tuple = (1, 2, 3)
     tol: float = 1e-4
     max_sweeps: int = 50
-    threads: int = 1
     content_format: str = "raw"
     tags_format: str = "plain"
     citations_format: str = "pairs"
@@ -73,6 +73,14 @@ class ExperimentConfig:
             raise ConfigError("p must be >= 1")
         if self.d < 1:
             raise ConfigError("d must be >= 1")
+        if self.epochs < 0:
+            raise ConfigError("epochs must be >= 0")
+        if self.batch_size < 2:
+            raise ConfigError("batch_size must be >= 2")
+        if not self.tol >= 0:  # also rejects NaN
+            raise ConfigError(f"tol must be a number >= 0, got {self.tol}")
+        if self.max_sweeps < 1:
+            raise ConfigError("max_sweeps must be >= 1")
         if not self.ks or any(k < 1 for k in self.ks):
             raise ConfigError("ks must be a nonempty list of cutoffs >= 1")
         if self.n_splits < 1 or any(not 0 <= s < self.n_splits for s in self.splits):
@@ -194,28 +202,38 @@ def _write_manifest(directory, command, config, keys, inputs, stats):
 
 
 class _RunDir:
-    """Stage outputs in a scratch directory; publish atomically on success.
+    """Stage outputs in a private scratch directory next to the final one and
+    publish it on success, replacing an earlier run's directory.
 
-    A failed command leaves no partial run directory behind.
+    A failed command leaves no partial run directory behind. When a
+    concurrent run of the same settings publishes first, this run's staging
+    is discarded: seeded runs of one config write identical bytes.
     """
 
     def __init__(self, final: str):
         self.final = final
-        self.tmp = final + ".partial"
 
     def __enter__(self):
-        if os.path.exists(self.tmp):
-            shutil.rmtree(self.tmp)
-        os.makedirs(self.tmp)
+        parent = os.path.dirname(self.final) or "."
+        os.makedirs(parent, exist_ok=True)
+        self.replaces = os.path.exists(self.final)
+        self.tmp = tempfile.mkdtemp(prefix=os.path.basename(self.final) + ".",
+                                    suffix=".partial", dir=parent)
+        os.chmod(self.tmp, 0o755)  # mkdtemp makes it private to the owner
         return self.tmp
 
     def __exit__(self, exc_type, exc, tb):
-        if exc_type is not None:
+        try:
+            if exc_type is None:
+                if self.replaces:
+                    shutil.rmtree(self.final, ignore_errors=True)
+                try:
+                    os.rename(self.tmp, self.final)
+                except OSError:
+                    if not os.path.isdir(self.final):  # not a concurrent publish
+                        raise
+        finally:
             shutil.rmtree(self.tmp, ignore_errors=True)
-            return False
-        if os.path.exists(self.final):
-            shutil.rmtree(self.final)
-        os.rename(self.tmp, self.final)
         return False
 
 
@@ -364,8 +382,7 @@ def cmd_train(config: ExperimentConfig, args) -> int:
                                       b=config.b, variant=config.variant,
                                       seed=seeds["factors"])
                 trace = cf.train_als(r_train, model, prior,
-                                     max_sweeps=config.max_sweeps, tol=config.tol,
-                                     threads=config.threads)
+                                     max_sweeps=config.max_sweeps, tol=config.tol)
                 cf.save_factors(os.path.join(tmp, f"factors-split{index}.bin"),
                                 model, sweeps=len(trace) - 1)
                 traces[str(index)] = trace
@@ -522,7 +539,6 @@ def _add_config_flags(sub):
     sub.add_argument("--splits", help="comma-separated split indices to use")
     sub.add_argument("--tol", type=float, help="relative objective stop threshold")
     sub.add_argument("--max-sweeps", dest="max_sweeps", type=int)
-    sub.add_argument("--threads", type=int)
     sub.add_argument("--content-format", dest="content_format",
                      choices=("raw", "mult"))
     sub.add_argument("--tags-format", dest="tags_format",

@@ -55,6 +55,8 @@ def top_k(scores: np.ndarray, k: int, exclude=None) -> np.ndarray:
     Indices listed in ``exclude`` are removed from the candidate pool
     entirely, so they can never appear in the result.
     """
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
     s = np.asarray(scores, dtype=np.float64)
     order = np.argsort(-s, kind="stable")
     if exclude is not None:

@@ -71,6 +71,11 @@ class _Reader:
         self.pos += nbytes
         return out
 
+    def finish(self):
+        """Refuse bytes left over after the last record."""
+        if self.pos != len(self.data):
+            raise DataError(f"{self.path}: {len(self.data) - self.pos} trailing bytes")
+
 
 def _check_header(reader: _Reader, magic: bytes):
     got = reader.raw(4)
@@ -109,6 +114,7 @@ def read_interactions(path):
     n_articles = reader.scalar(_U32)
     n_pairs = reader.scalar(_U64)
     flat = reader.take(_U32, 2 * n_pairs).reshape(n_pairs, 2)
+    reader.finish()
     return n_users, n_articles, flat[:, 0].copy(), flat[:, 1].copy()
 
 
@@ -135,12 +141,17 @@ def _read_csr(path, magic: bytes, with_values: bool) -> sparse.csr_matrix:
     n_cols = reader.scalar(_U32)
     nnz = reader.scalar(_U64)
     indptr = reader.take(_U64, n_rows + 1).astype(np.int64)
-    indices = reader.take(_U32, nnz).astype(np.int32)
+    indices = reader.take(_U32, nnz)
     if with_values:
         data = reader.take(_F64, nnz).astype(np.float64)
     else:
         data = np.ones(nnz, dtype=np.float64)
-    return sparse.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols))
+    reader.finish()
+    if indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0):
+        raise DataError(f"{path}: row pointers must rise from 0 to nnz={nnz}")
+    if nnz and int(indices.max()) >= n_cols:
+        raise DataError(f"{path}: column index {int(indices.max())} >= n_cols={n_cols}")
+    return sparse.csr_matrix((data, indices.astype(np.int32), indptr), shape=(n_rows, n_cols))
 
 
 def write_content(path, matrix: sparse.csr_matrix):
@@ -200,4 +211,5 @@ def read_tensors(path):
         size = int(np.prod(shape)) if ndim else 1
         data = reader.take(_F32, size).astype(np.float64)
         tensors[name] = data.reshape(shape)
+    reader.finish()
     return tensors, meta

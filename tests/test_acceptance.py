@@ -480,7 +480,7 @@ def test_criterion_10_citeulike_variant_ordering():
     r_train, r_test = evaluation.make_split(r, 1, np.random.default_rng([17, 1]))
     model = cf.init_model(r.n_users, r.n_articles, 50, lambda_u=10.0,
                           lambda_v=0.1, variant="cata++", seed=3)
-    cf.train_als(r_train, model, prior, max_sweeps=20, tol=1e-4, threads=4)
+    cf.train_als(r_train, model, prior, max_sweeps=20, tol=1e-4)
     ours = evaluation.evaluate(lambda u: cf.predict_scores(model, u),
                                r_train, r_test, [300])[0].recall
     counts = r_train.item_counts().astype(np.float64)

@@ -6,7 +6,7 @@ from attnrec import nn
 from attnrec.autoencoder import (AttentiveAutoencoder, load_autoencoder,
                                  pretrain, save_autoencoder)
 from attnrec.corpus import ContentMatrix
-from attnrec.errors import ConfigError
+from attnrec.errors import ConfigError, DataError
 
 
 def _toy_content(n_rows=40, n_cols=30, seed=0):
@@ -116,3 +116,14 @@ def test_accepts_dense_arrays():
     ae = AttentiveAutoencoder(10, [4], seed=8)
     rows = np.random.default_rng(0).uniform(0.0, 1.0, size=(5, 10))
     assert ae.encode(rows).shape == (5, 4)
+
+
+def test_load_tensors_names_missing_or_misshaped_tensor():
+    ae = AttentiveAutoencoder(30, [8], seed=9)
+    tensors = ae.named_tensors()
+    missing = {name: t for name, t in tensors.items() if name != "bn0/running_var"}
+    with pytest.raises(DataError, match="bn0/running_var"):
+        AttentiveAutoencoder(30, [8], seed=9).load_tensors(missing)
+    misshaped = {**tensors, "dense1/w": np.zeros((8, 29))}
+    with pytest.raises(DataError, match=r"dense1/w.*\(8, 29\).*\(8, 30\)"):
+        AttentiveAutoencoder(30, [8], seed=9).load_tensors(misshaped)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -167,6 +168,53 @@ def test_config_validation_errors():
         cli.load_config(None, {"p": 0})
     with pytest.raises(cli.ConfigError):
         cli.load_config(None, {"splits": "5", "n_splits": 4})
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--epochs", "-1", "epochs"),
+    ("--batch-size", "0", "batch_size"),
+    ("--batch-size", "1", "batch_size"),
+    ("--tol", "-1e-4", "tol"),
+    ("--tol", "nan", "tol"),
+    ("--max-sweeps", "0", "max_sweeps"),
+])
+def test_out_of_range_config_values_exit_1(tmp_path, capsys, flag, value, field):
+    rc = cli.main(["train", "--out-dir", str(tmp_path), f"{flag}={value}"])
+    assert rc == 1
+    assert field in capsys.readouterr().err
+
+
+def test_zero_tol_is_valid():
+    assert cli.load_config(None, {"tol": 0.0}).tol == 0.0
+
+
+def test_recommend_rejects_k_below_one(workspace, capsys):
+    data, runs = workspace
+    args = ["--data-dir", str(data), "--out-dir", str(runs), "--variant", "pop",
+            "--n-splits", "2", "--splits", "1"]
+    assert cli.main(["preprocess", *args]) == 0
+    for k in ("0", "-2"):
+        capsys.readouterr()
+        assert cli.main(["recommend", *args, "3", "--k", k]) == 1
+        assert capsys.readouterr().out == ""
+
+
+def test_concurrent_runs_of_one_config_both_succeed(tmp_path):
+    # Each run stages privately: a second run of the same settings must not
+    # disturb the first one's staging, and the later finisher stands down.
+    final = tmp_path / "runs" / "train-0123456789ab"
+    with cli._RunDir(str(final)) as outer:
+        (Path(outer) / "out.txt").write_text("same")
+        with cli._RunDir(str(final)) as inner:
+            assert inner != outer
+            (Path(inner) / "out.txt").write_text("same")
+    assert os.listdir(tmp_path / "runs") == [final.name]
+    assert (final / "out.txt").read_text() == "same"
+    # a later run replaces the published directory
+    with cli._RunDir(str(final)) as later:
+        (Path(later) / "new.txt").write_text("new")
+    assert os.listdir(final) == ["new.txt"]
+    assert os.listdir(tmp_path / "runs") == [final.name]
 
 
 def test_run_dir_hash_scoping(tmp_path):

@@ -71,6 +71,12 @@ def test_top_k_ordering_and_exclusion():
     assert ev.top_k(scores, 10, exclude=[0]).tolist() == [1, 2]
 
 
+@pytest.mark.parametrize("k", [0, -2])
+def test_top_k_rejects_k_below_one(k):
+    with pytest.raises(ConfigError, match="k must be >= 1"):
+        ev.top_k(np.array([0.1, 0.9, 0.5]), k)
+
+
 def test_recall_hand_values():
     assert ev.recall_at_k([5, 7, 9], {7, 11}, 3) == 0.5
     assert ev.recall_at_k([1, 2], {1, 2}, 2) == 1.0

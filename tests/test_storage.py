@@ -103,3 +103,65 @@ def test_tensor_truncated_payload(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(DataError):
         storage.read_tensors(path)
+
+
+def _csr_bytes(magic, n_rows, n_cols, indptr, indices, with_values):
+    out = magic + b"\x01" + struct.pack("<IIQ", n_rows, n_cols, len(indices))
+    out += np.asarray(indptr, dtype="<u8").tobytes()
+    out += np.asarray(indices, dtype="<u4").tobytes()
+    if with_values:
+        out += np.ones(len(indices), dtype="<f8").tobytes()
+    return out
+
+
+# 2 rows x 3 columns; the valid layout is indptr [0, 1, 2], indices [0, 2]
+@pytest.mark.parametrize("indptr, indices, problem", [
+    ([1, 1, 2], [0, 2], "indptr[0] != 0"),
+    ([0, 2, 1], [0, 2], "decreasing indptr"),
+    ([0, 1, 1], [0, 2], "indptr[-1] != nnz"),
+    ([0, 1, 2], [0, 3], "column index == n_cols"),
+    ([0, 1, 2], [0, 10 ** 6], "column index far out of range"),
+])
+@pytest.mark.parametrize("magic, reader, with_values", [
+    (b"RXCM", storage.read_content, True),
+    (b"RXTM", storage.read_tags, False),
+])
+def test_csr_cache_structure_refused(tmp_path, indptr, indices, problem,
+                                     magic, reader, with_values):
+    path = tmp_path / "m.bin"
+    path.write_bytes(_csr_bytes(magic, 2, 3, [0, 1, 2], [0, 2], with_values))
+    assert reader(path).shape == (2, 3)
+    path.write_bytes(_csr_bytes(magic, 2, 3, indptr, indices, with_values))
+    with pytest.raises(DataError, match="m.bin"):
+        reader(path)
+
+
+def _write_interactions(path):
+    storage.write_interactions(path, 2, 2, [0, 1], [1, 0])
+
+
+def _write_content(path):
+    storage.write_content(path, sparse.csr_matrix(np.eye(3)))
+
+
+def _write_tags(path):
+    storage.write_tags(path, sparse.csr_matrix(np.eye(3)))
+
+
+def _write_tensors(path):
+    storage.write_tensors(path, {"w": np.ones((2, 2))}, {"k": 1})
+
+
+@pytest.mark.parametrize("write, read", [
+    (_write_interactions, storage.read_interactions),
+    (_write_content, storage.read_content),
+    (_write_tags, storage.read_tags),
+    (_write_tensors, storage.read_tensors),
+])
+def test_trailing_bytes_refused(tmp_path, write, read):
+    path = tmp_path / "cache.bin"
+    write(path)
+    read(path)
+    path.write_bytes(path.read_bytes() + b"\x00junk")
+    with pytest.raises(DataError, match="cache.bin: 5 trailing bytes"):
+        read(path)
