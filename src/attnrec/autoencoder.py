@@ -182,6 +182,9 @@ def save_autoencoder(ae: AttentiveAutoencoder, path):
 
 def load_autoencoder(path) -> AttentiveAutoencoder:
     tensors, meta = storage.read_tensors(path)
-    ae = AttentiveAutoencoder(meta["input_dim"], meta["widths"], seed=meta.get("seed", 0))
+    try:
+        ae = AttentiveAutoencoder(meta["input_dim"], meta["widths"], seed=meta.get("seed", 0))
+    except KeyError as exc:
+        raise DataError(f"{path}: autoencoder checkpoint lacks {exc.args[0]!r}") from None
     ae.load_tensors(tensors)
     return ae

@@ -21,7 +21,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from . import storage
 from .corpus import InteractionMatrix
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, DataError, NumericalError
 
 logger = logging.getLogger(__name__)
 
@@ -188,11 +188,12 @@ def train_als(r: InteractionMatrix, model: FactorModel, prior: np.ndarray,
     return trace
 
 
-def predict_scores(model: FactorModel, user_index: int) -> np.ndarray:
-    """Dense article scores for one user: U[i] . V^T."""
-    if not 0 <= user_index < model.U.shape[0]:
-        raise IndexError(f"user index {user_index} out of range")
-    return model.V @ model.U[user_index]
+def predict_scores(model: FactorModel, users) -> np.ndarray:
+    """Article scores U[users] . V^T: a row for an int, a block for an index array."""
+    users = np.asarray(users)
+    if users.size and not (0 <= users.min() and users.max() < model.U.shape[0]):
+        raise IndexError(f"user index out of range [0, {model.U.shape[0]})")
+    return model.U[users] @ model.V.T
 
 
 def pop_baseline(r_train: InteractionMatrix) -> np.ndarray:
@@ -217,13 +218,10 @@ def save_factors(path, model: FactorModel, sweeps: int = 0):
 def load_factors(path):
     """Return (FactorModel, sweeps). Factors come back at f32 precision."""
     tensors, meta = storage.read_tensors(path)
-    model = FactorModel(
-        U=tensors["U"],
-        V=tensors["V"],
-        lambda_u=meta["lambda_u"],
-        lambda_v=meta["lambda_v"],
-        a=meta["a"],
-        b=meta["b"],
-        variant=meta["variant"],
-    )
+    try:
+        model = FactorModel(U=tensors["U"], V=tensors["V"], lambda_u=meta["lambda_u"],
+                            lambda_v=meta["lambda_v"], a=meta["a"], b=meta["b"],
+                            variant=meta["variant"])
+    except KeyError as exc:
+        raise DataError(f"{path}: factor checkpoint lacks {exc.args[0]!r}") from None
     return model, meta.get("sweeps", 0)

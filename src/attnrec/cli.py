@@ -400,28 +400,30 @@ def cmd_train(config: ExperimentConfig, args) -> int:
     return 0
 
 
-def _split_scorer(config: ExperimentConfig, interactions, train_dir, index):
-    """Score function plus (train, test) matrices for one split."""
-    seeds = config.seeds()
-    r_train, r_test = evaluation.make_split(
-        interactions, config.p, np.random.default_rng([seeds["split"], index]))
+def _split(config: ExperimentConfig, interactions, index):
+    """The (train, test) matrices of one split."""
+    rng = np.random.default_rng([config.seeds()["split"], index])
+    return evaluation.make_split(interactions, config.p, rng)
+
+
+def _scorer(config: ExperimentConfig, r_train, train_dir, index):
+    """Scores for an int user or an index array; pop gives one shared row."""
     if config.variant == "pop":
         counts = r_train.item_counts().astype(np.float64)
-        return (lambda i: counts), r_train, r_test
+        return lambda users: counts
     path = _require(os.path.join(train_dir, f"factors-split{index}.bin"), "train")
     model, _ = cf.load_factors(path)
-    return (lambda i: cf.predict_scores(model, i)), r_train, r_test
+    return lambda users: cf.predict_scores(model, users)
 
 
-def _evaluate_variant(config: ExperimentConfig, interactions) -> list:
+def _evaluate_variant(config: ExperimentConfig, splits: dict) -> list:
     train_dir = None
     if config.variant != "pop":
         train_dir = _require(run_dir(config, "train"), "train")
     setting = f"P={config.p}"
     reports = []
-    for index in config.splits:
-        score_fn, r_train, r_test = _split_scorer(config, interactions,
-                                                  train_dir, index)
+    for index, (r_train, r_test) in splits.items():
+        score_fn = _scorer(config, r_train, train_dir, index)
         reports.extend(evaluation.evaluate(score_fn, r_train, r_test, config.ks,
                                            variant=config.variant,
                                            setting=setting, split=index))
@@ -430,7 +432,8 @@ def _evaluate_variant(config: ExperimentConfig, interactions) -> list:
 
 def cmd_evaluate(config: ExperimentConfig, args) -> int:
     _, interactions, _, _ = _load_caches(config)
-    reports = _evaluate_variant(config, interactions)
+    splits = {index: _split(config, interactions, index) for index in config.splits}
+    reports = _evaluate_variant(config, splits)
 
     compare_reports = None
     if args.compare:
@@ -438,7 +441,7 @@ def cmd_evaluate(config: ExperimentConfig, args) -> int:
             raise ConfigError("--compare variant matches the evaluated variant")
         base_cfg = ExperimentConfig(**{**asdict(config), "variant": args.compare})
         base_cfg.validate()
-        compare_reports = _evaluate_variant(base_cfg, interactions)
+        compare_reports = _evaluate_variant(base_cfg, splits)
 
     final = run_dir(config, "evaluate")
     with _RunDir(final) as tmp:
@@ -494,8 +497,8 @@ def cmd_recommend(config: ExperimentConfig, args) -> int:
     train_dir = None
     if config.variant != "pop":
         train_dir = _require(run_dir(config, "train"), "train")
-    score_fn, r_train, _ = _split_scorer(config, interactions, train_dir, index)
-    scores = score_fn(args.user_id)
+    r_train, _ = _split(config, interactions, index)
+    scores = _scorer(config, r_train, train_dir, index)(args.user_id)
     picks = evaluation.top_k(scores, args.k, exclude=r_train.user_items(args.user_id))
     for rank, article in enumerate(picks, start=1):
         print(f"{rank}\t{int(article)}\t{scores[article]:.6f}")

@@ -84,7 +84,10 @@ class InteractionMatrix:
     @classmethod
     def load(cls, path) -> "InteractionMatrix":
         n_users, n_articles, users, articles = storage.read_interactions(path)
-        return cls.from_pairs(users, articles, n_users, n_articles)
+        try:
+            return cls.from_pairs(users, articles, n_users, n_articles)
+        except BoundsError as exc:
+            raise BoundsError(f"{path}: {exc}") from None
 
 
 @dataclass

@@ -14,33 +14,26 @@ import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .corpus import InteractionMatrix
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 
 DEFAULT_KS = (50, 100, 150, 200, 250, 300)
+BLOCK_SCORES = 1 << 18  # values held per block of users: 2 MB of f64
 
 
 def make_split(r: InteractionMatrix, p: int, rng: np.random.Generator):
     """One (train, test) pair keeping p articles per user in train."""
     if p < 1:
         raise ConfigError(f"split size must be >= 1, got {p}")
-    train_u, train_a, test_u, test_a = [], [], [], []
-    for i in range(r.n_users):
-        items = r.user_items(i)
-        if items.size <= p:
-            train_u.extend([i] * items.size)
-            train_a.extend(items)
-            continue
-        keep = rng.choice(items, size=p, replace=False)
-        keep_set = set(int(x) for x in keep)
-        train_u.extend([i] * p)
-        train_a.extend(sorted(keep_set))
-        held = [int(x) for x in items if int(x) not in keep_set]
-        test_u.extend([i] * len(held))
-        test_a.extend(held)
-    train = InteractionMatrix.from_pairs(train_u, train_a, r.n_users, r.n_articles)
-    test = InteractionMatrix.from_pairs(test_u, test_a, r.n_users, r.n_articles)
+    indptr, counts = r.matrix.indptr, np.diff(r.matrix.indptr)
+    keep = np.repeat(counts <= p, counts)  # over CSR positions; small libraries stay whole
+    for i in np.flatnonzero(counts > p):
+        keep[indptr[i] + rng.choice(counts[i], size=p, replace=False)] = True
+    users, articles = np.repeat(np.arange(r.n_users), counts), r.matrix.indices
+    train = InteractionMatrix.from_pairs(users[keep], articles[keep], r.n_users, r.n_articles)
+    test = InteractionMatrix.from_pairs(users[~keep], articles[~keep], r.n_users, r.n_articles)
     return train, test
 
 
@@ -49,47 +42,107 @@ def make_splits(r: InteractionMatrix, p: int, seed: int, n_repeats: int = 4) -> 
     return [make_split(r, p, np.random.default_rng([seed, i])) for i in range(n_repeats)]
 
 
-def top_k(scores: np.ndarray, k: int, exclude=None) -> np.ndarray:
+def _member(indptr, indices, shape) -> np.ndarray:
+    """Boolean block, True where CSR row i lists column j."""
+    out = np.zeros(shape, dtype=bool)
+    out[np.repeat(np.arange(shape[0]), np.diff(indptr)), indices] = True
+    return out
+
+
+def _pack(rows, ids, n_rows: int, width: int) -> np.ndarray:
+    """(n_rows, width) block of ``ids``, grouped by ascending ``rows`` and in
+    rank order within a row; -1 past a row's last id."""
+    out = np.full((n_rows, width), -1, dtype=np.int64)
+    out[np.arange(width) < np.bincount(rows, minlength=n_rows)[:, None]] = ids
+    return out
+
+
+def top_k(scores, k: int, exclude=None) -> np.ndarray:
     """Indices of the k largest scores, ties toward the lower index.
 
-    Indices listed in ``exclude`` are removed from the candidate pool
-    entirely, so they can never appear in the result.
+    Excluded indices leave the candidate pool entirely, so a list holds
+    min(k, candidates) ids. One score row with a sequence of ids to exclude
+    gives one list. A CSR ``exclude`` with n rows, with an (n, m) score block
+    or one (m,) row shared by all n, gives an (n, min(k, m)) block whose rows
+    are padded with -1 past their candidates.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     s = np.asarray(scores, dtype=np.float64)
-    order = np.argsort(-s, kind="stable")
-    if exclude is not None:
-        keep = np.ones(s.shape[0], dtype=bool)
-        keep[np.asarray(exclude, dtype=np.intp)] = False
-        order = order[keep[order]]
-    return order[:k]
+    if np.isnan(s).any():
+        raise NumericalError("scores to rank must not be NaN")
+    if not sparse.issparse(exclude):
+        ids = np.asarray([] if exclude is None else exclude, dtype=np.intp)
+        picks = _rank(s[None, :], k, np.array([0, ids.size]), ids)[0]
+        return picks[picks >= 0]
+    return _rank(s, k, exclude.indptr, exclude.indices)
 
 
-def recall_at_k(recommended, test_items, k: int) -> float:
-    """Fraction of the held-out set found in the first k recommendations."""
-    test = set(int(x) for x in test_items)
-    if not test:
-        raise ConfigError("recall undefined for an empty test set")
-    hits = sum(1 for x in recommended[:k] if int(x) in test)
-    return hits / len(test)
+def _rank(s, k, indptr, indices) -> np.ndarray:
+    """The block form of top_k, with the exclusions as CSR arrays."""
+    n_rows, m = indptr.size - 1, s.shape[-1]
+    kk = min(k, m)
+    ex_rows = np.repeat(np.arange(n_rows), np.diff(indptr))
+    if s.ndim == 1:
+        # One shared row: rank it once. No row loses more of its head than
+        # it excludes, so the head holds every row's first kk candidates.
+        head = np.argsort(-s, kind="stable")[:kk + int(np.diff(indptr).max(initial=0))]
+        take = ~_member(indptr, indices, (n_rows, m))[:, head]
+        take &= np.cumsum(take, axis=1) <= kk
+        rows, pos = np.nonzero(take)
+        return _pack(rows, head[pos], n_rows, kk)
+    part = s.copy()
+    part[ex_rows, indices] = -np.inf
+    part.partition(m - kk, axis=1)
+    kth = part[:, m - kk, None].copy()  # the kk-th largest candidate score of each row
+    need = kk - np.count_nonzero(part[:, m - kk:] > kth, axis=1)
+    del part  # free the block-sized copy before the ranked arrays are built
+    take, tie = s > kth, s == kth
+    take[ex_rows, indices] = tie[ex_rows, indices] = False
+    straddle = np.flatnonzero(np.count_nonzero(tie, axis=1) > need)  # keep lowest tied ids
+    tie[straddle] &= np.cumsum(tie[straddle], axis=1) <= need[straddle, None]
+    rows, ids = np.divmod(np.flatnonzero(take | tie), m)
+    return _pack(rows, ids[np.lexsort((ids, -s[rows, ids], rows))], n_rows, kk)
 
 
-def ndcg_at_k(recommended, test_items, k: int) -> float:
+def _hits(recommended, test_items, k: int, metric: str):
+    """Hit flags of the first k ranked ids, shape (rows, k), and the size of
+    each row's held-out set. Takes one list with its held-out ids, or a
+    block of ids padded with -1 with its held-out rows as a CSR matrix."""
+    ranked = np.asarray(recommended, dtype=np.int64)
+    if ranked.ndim == 2:
+        ranked = ranked[:, :k]
+        held = _member(test_items.indptr, test_items.indices, test_items.shape)
+        found = held[np.arange(ranked.shape[0])[:, None], ranked] & (ranked >= 0)
+        n_held = np.diff(test_items.indptr)
+    else:
+        test = np.fromiter({int(x) for x in test_items}, dtype=np.int64)
+        found, n_held = np.isin(ranked[:k], test)[None, :], np.array([test.size])
+    if np.any(n_held == 0):
+        raise ConfigError(f"{metric} undefined for an empty test set")
+    return np.pad(found, ((0, 0), (0, k - found.shape[1]))), n_held
+
+
+def recall_at_k(recommended, test_items, k: int):
+    """Fraction of the held-out set found in the first k recommendations:
+    a float for one list, an array with one value per row for a block."""
+    hits, n_held = _hits(recommended, test_items, k, "recall")
+    out = np.count_nonzero(hits, axis=1) / n_held
+    return out if np.ndim(recommended) == 2 else float(out[0])
+
+
+def ndcg_at_k(recommended, test_items, k: int):
     """Positional gain against the best achievable ordering.
 
     Gain at rank i (1-based) is 1/log2(i + 1) when the article is held out.
-    The ideal ordering packs all min(|test|, k) hits at the top.
+    The ideal ordering packs all min(|test|, k) hits at the top. Gains are
+    summed in rank order, as a running total would add them.
     """
-    test = set(int(x) for x in test_items)
-    if not test:
-        raise ConfigError("nDCG undefined for an empty test set")
-    dcg = 0.0
-    for i, article in enumerate(recommended[:k], start=1):
-        if int(article) in test:
-            dcg += 1.0 / np.log2(i + 1)
-    ideal = sum(1.0 / np.log2(i + 1) for i in range(1, min(len(test), k) + 1))
-    return dcg / ideal
+    hits, n_held = _hits(recommended, test_items, k, "nDCG")
+    gains = 1.0 / np.log2(np.arange(2, k + 2))
+    dcg = np.cumsum(hits * gains, axis=1)[:, -1]
+    out = dcg / np.cumsum(gains)[np.minimum(n_held, k) - 1]
+    return out if np.ndim(recommended) == 2 else float(out[0])
 
 
 @dataclass
@@ -110,31 +163,29 @@ def evaluate(score_fn, r_train: InteractionMatrix, r_test: InteractionMatrix,
              split: int = 0) -> list:
     """Average recall and nDCG over users with a nonempty test set.
 
-    ``score_fn(i)`` returns dense article scores for user i. Training
-    articles are excluded from every recommendation list.
+    ``score_fn(users)`` takes an index array of users and returns their
+    article scores: a (len(users), n_articles) block, or one (n_articles,)
+    row when the scores do not depend on the user. Users are ranked in
+    blocks of about BLOCK_SCORES values, training articles excluded.
     """
     ks = sorted(int(k) for k in ks)
-    max_k = ks[-1]
-    recall_sums = {k: 0.0 for k in ks}
-    ndcg_sums = {k: 0.0 for k in ks}
-    n_scored = 0
-    for i in range(r_test.n_users):
-        held = r_test.user_items(i)
-        if held.size == 0:
-            continue
-        scores = score_fn(i)
-        recommended = top_k(scores, max_k, exclude=r_train.user_items(i))
-        n_scored += 1
-        for k in ks:
-            recall_sums[k] += recall_at_k(recommended, held, k)
-            ndcg_sums[k] += ndcg_at_k(recommended, held, k)
-    if n_scored == 0:
+    users = np.flatnonzero(np.diff(r_test.matrix.indptr))
+    if users.size == 0:
         raise ConfigError("no user has held-out articles to evaluate")
-    return [
-        MetricReport(variant, setting, split, k,
-                     recall_sums[k] / n_scored, ndcg_sums[k] / n_scored, n_scored)
-        for k in ks
-    ]
+    # a user takes n_articles scores and about four K-wide arrays to rank
+    step = max(1, BLOCK_SCORES // (r_test.n_articles + 4 * ks[-1]))
+    values = np.empty((users.size, 2, len(ks)))
+    for start in range(0, users.size, step):
+        block = users[start:start + step]
+        ranked = top_k(score_fn(block), ks[-1], exclude=r_train.matrix[block])
+        held = r_test.matrix[block]
+        for j, k in enumerate(ks):
+            values[start:start + block.size, 0, j] = recall_at_k(ranked, held, k)
+            values[start:start + block.size, 1, j] = ndcg_at_k(ranked, held, k)
+    sums = np.cumsum(values, axis=0)[-1] / users.size  # summed in user order
+    return [MetricReport(variant, setting, split, k, float(sums[0, j]),
+                         float(sums[1, j]), int(users.size))
+            for j, k in enumerate(ks)]
 
 
 def average_reports(reports: list) -> list:

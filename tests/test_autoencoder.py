@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from attnrec import nn
+from attnrec import nn, storage
 from attnrec.autoencoder import (AttentiveAutoencoder, load_autoencoder,
                                  pretrain, save_autoencoder)
 from attnrec.corpus import ContentMatrix
@@ -127,3 +127,14 @@ def test_load_tensors_names_missing_or_misshaped_tensor():
     misshaped = {**tensors, "dense1/w": np.zeros((8, 29))}
     with pytest.raises(DataError, match=r"dense1/w.*\(8, 29\).*\(8, 30\)"):
         AttentiveAutoencoder(30, [8], seed=9).load_tensors(misshaped)
+
+
+@pytest.mark.parametrize("drop", ["input_dim", "widths"])
+def test_load_autoencoder_names_file_and_missing_key(tmp_path, drop):
+    ae = AttentiveAutoencoder(30, [8], seed=10)
+    meta = {"input_dim": 30, "widths": [8], "seed": 10}
+    del meta[drop]
+    path = tmp_path / "ae.bin"
+    storage.write_tensors(path, ae.named_tensors(), meta)
+    with pytest.raises(DataError, match=rf"ae\.bin.*'{drop}'"):
+        load_autoencoder(path)

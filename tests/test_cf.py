@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from attnrec import cf
+from attnrec import cf, storage
 from attnrec.corpus import InteractionMatrix
-from attnrec.errors import ConfigError
+from attnrec.errors import ConfigError, DataError
 
 RTOL = 1e-9
 
@@ -192,8 +192,12 @@ def test_predict_scores():
     _, r, model, _ = _random_instance(9)
     scores = cf.predict_scores(model, 1)
     assert np.allclose(scores, model.V @ model.U[1])
-    with pytest.raises(IndexError):
-        cf.predict_scores(model, 99)
+    block = cf.predict_scores(model, np.array([4, 1]))
+    assert block.shape == (2, model.V.shape[0])
+    assert np.allclose(block, model.U[[4, 1]] @ model.V.T)
+    for bad in (99, -1, np.array([0, 6])):
+        with pytest.raises(IndexError):
+            cf.predict_scores(model, bad)
 
 
 def test_factor_checkpoint_roundtrip(tmp_path):
@@ -208,3 +212,15 @@ def test_factor_checkpoint_roundtrip(tmp_path):
     # stored at f32 precision
     assert np.allclose(again.U, model.U, atol=1e-5)
     assert np.allclose(again.V, model.V, atol=1e-5)
+
+
+@pytest.mark.parametrize("drop", ["lambda_u", "variant", "U", "V"])
+def test_load_factors_names_file_and_missing_key(tmp_path, drop):
+    _, _, model, _ = _random_instance(11)
+    tensors = {name: t for name, t in (("U", model.U), ("V", model.V)) if name != drop}
+    meta = {"lambda_u": 0.7, "lambda_v": 0.3, "a": 1.0, "b": 0.01, "variant": "wrmf"}
+    meta.pop(drop, None)
+    path = tmp_path / "factors.bin"
+    storage.write_tensors(path, tensors, meta)
+    with pytest.raises(DataError, match=rf"factors\.bin.*'{drop}'"):
+        cf.load_factors(path)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from attnrec import cli
+from attnrec import cli, evaluation, storage
 from attnrec.errors import NumericalError
 
 COMMON = ["--variant", "cata++", "--p", "1", "--d", "6",
@@ -235,3 +235,32 @@ def test_data_dir_env_default(tmp_path, monkeypatch):
     rc = cli.main(["preprocess", "--out-dir", str(tmp_path / "runs"),
                    "--variant", "wrmf"])
     assert rc == 0
+
+
+def test_evaluate_compare_derives_each_split_once(workspace, monkeypatch):
+    data, runs = workspace
+    extra = ("--variant", "wrmf", "--n-splits", "3", "--splits", "1,2")
+    assert cli.main(_args("preprocess", data, runs, *extra)) == 0
+    assert cli.main(_args("train", data, runs, *extra)) == 0
+    calls = []
+    make_split = evaluation.make_split
+    monkeypatch.setattr(evaluation, "make_split",
+                        lambda *a: calls.append(1) or make_split(*a))
+    assert cli.main(_args("evaluate", data, runs, *extra, "--compare", "pop")) == 0
+    assert len(calls) == 2
+
+
+def test_recommend_with_incomplete_factor_checkpoint_exits_2(workspace, capsys):
+    data, runs = workspace
+    extra = ("--variant", "wrmf")
+    assert cli.main(_args("preprocess", data, runs, *extra)) == 0
+    assert cli.main(_args("train", data, runs, *extra)) == 0
+    path = _single_run_dir(runs, "train-") / "factors-split1.bin"
+    tensors, meta = storage.read_tensors(path)
+    del meta["lambda_u"]
+    storage.write_tensors(path, tensors, meta)
+    capsys.readouterr()
+    assert cli.main(_args("recommend", data, runs, *extra, "3")) == 2
+    err = capsys.readouterr().err
+    assert "factors-split1.bin" in err and "'lambda_u'" in err
+    assert "Traceback" not in err

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from attnrec import corpus
+from attnrec import corpus, storage
 from attnrec.errors import BoundsError, DataError, ParseError
 
 
@@ -179,3 +179,10 @@ def test_interaction_matrix_roundtrip(tmp_path):
     assert np.array_equal(again.matrix.toarray(), r.matrix.toarray())
     assert again.user_items(0).tolist() == [0, 2]
     assert again.item_counts().tolist() == [1, 1, 1]
+
+
+def test_interaction_cache_bad_article_names_file(tmp_path):
+    path = tmp_path / "interactions.bin"
+    storage.write_interactions(path, 1, 2, [0], [7])
+    with pytest.raises(BoundsError, match=r"interactions\.bin.*article index out of range"):
+        corpus.InteractionMatrix.load(path)

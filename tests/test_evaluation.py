@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
+import _eval_reference as ref
 from attnrec import evaluation as ev
 from attnrec.corpus import InteractionMatrix
-from attnrec.errors import ConfigError
+from attnrec.errors import ConfigError, NumericalError
 
 
 def _library_matrix(libraries, n_articles):
@@ -101,9 +105,10 @@ def test_evaluate_two_user_hand_oracle():
     score_rows = {0: np.array([9.0, 5.0, 7.0, 1.0]),
                   1: np.array([1.0, 8.0, 2.0, 4.0])}
 
-    def score_fn(i):
-        assert i in score_rows, "users without test items must be skipped"
-        return score_rows[i]
+    def score_fn(users):
+        assert all(int(i) in score_rows for i in users), \
+            "users without test items must be skipped"
+        return np.stack([score_rows[int(i)] for i in users])
 
     reports = ev.evaluate(score_fn, r_train, r_test, ks=[2, 3],
                           variant="toy", setting="P=1", split=1)
@@ -189,3 +194,99 @@ def test_report_writers_roundtrip(tmp_path):
     data = json.loads(json_path.read_text())
     assert data[0]["ndcg"] == 0.125
     assert data[0]["setting"] == "P=10"
+
+
+def _same_matrix(a, b):
+    return (a.matrix.shape == b.matrix.shape
+            and np.array_equal(a.matrix.indptr, b.matrix.indptr)
+            and np.array_equal(a.matrix.indices, b.matrix.indices)
+            and np.array_equal(a.matrix.data, b.matrix.data))
+
+
+def _random_matrix(rng, n_users, n_articles, density):
+    users, articles = np.nonzero(rng.random((n_users, n_articles)) < density)
+    return InteractionMatrix.from_pairs(users, articles, n_users, n_articles)
+
+
+@pytest.mark.parametrize("p", [1, 2, 5, 10])
+def test_make_split_equals_per_user_loop(p):
+    rng = np.random.default_rng(p)
+    for seed in range(5):
+        r = _random_matrix(rng, 40, 60, rng.uniform(0.05, 0.4))
+        fast = ev.make_split(r, p, np.random.default_rng([seed, 1]))
+        slow = ref.make_split(r, p, np.random.default_rng([seed, 1]))
+        assert _same_matrix(fast[0], slow[0]) and _same_matrix(fast[1], slow[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_top_k_equals_stable_argsort_with_exclusion(data):
+    m = data.draw(st.integers(1, 30))
+    scores = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m)),
+                      dtype=np.float64)
+    exclude = data.draw(st.lists(st.integers(0, m - 1), max_size=m))
+    k = data.draw(st.integers(1, m + 5))
+    got = ev.top_k(scores, k, exclude=exclude)
+    assert got.tolist() == ref.top_k(scores, k, exclude=exclude).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_top_k_block_rows_equal_one_row_calls(data):
+    n, m = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 20))
+    block = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n * m,
+                                        max_size=n * m)), dtype=np.float64).reshape(n, m)
+    excluded = [sorted(set(data.draw(st.lists(st.integers(0, m - 1), max_size=m))))
+                for _ in range(n)]
+    exclude = sparse.csr_matrix(
+        (np.ones(sum(map(len, excluded))), np.concatenate([[], *excluded]).astype(int),
+         np.cumsum([0] + [len(e) for e in excluded])), shape=(n, m))
+    k = data.draw(st.integers(1, m + 3))
+    for scores in (block, block[0]):       # a block, and one row shared by all
+        got = ev.top_k(scores, k, exclude=exclude)
+        assert got.shape == (n, min(k, m))
+        for i in range(n):
+            row = scores if scores.ndim == 1 else scores[i]
+            want = ref.top_k(row, k, exclude=excluded[i]).tolist()
+            assert got[i].tolist() == want + [-1] * (got.shape[1] - len(want))
+
+
+def test_top_k_refuses_nan_scores():
+    with pytest.raises(NumericalError, match="NaN"):
+        ev.top_k(np.array([1.0, np.nan, 0.0]), 2)
+
+
+def test_block_metrics_equal_single_list_metrics():
+    rng = np.random.default_rng(8)
+    ranked = np.array([rng.permutation(12)[:7] for _ in range(5)])
+    ranked[1, 4:] = -1                       # a row with fewer candidates
+    member = rng.random((5, 12)) < 0.3
+    member[:, 0] = True
+    held = sparse.csr_matrix(member)
+    for k in (1, 3, 7, 9):
+        recall, ndcg = ev.recall_at_k(ranked, held, k), ev.ndcg_at_k(ranked, held, k)
+        for i in range(5):
+            ids = ranked[i][ranked[i] >= 0].tolist()
+            test = np.flatnonzero(member[i]).tolist()
+            assert recall[i] == ref.recall_at_k(ids, test, k) == ev.recall_at_k(ids, test, k)
+            assert ndcg[i] == ref.ndcg_at_k(ids, test, k) == ev.ndcg_at_k(ids, test, k)
+
+
+@pytest.mark.parametrize("block_scores", [1, 50, 1 << 18])
+def test_evaluate_equals_per_user_reference(monkeypatch, block_scores):
+    monkeypatch.setattr(ev, "BLOCK_SCORES", block_scores)
+    rng = np.random.default_rng(9)
+    n_users, n_articles = 30, 25
+    cells = rng.random((n_users, n_articles))
+    # training densities up to 0.9 leave some users fewer candidates than K
+    in_train = cells < rng.uniform(0.0, 0.9, size=(n_users, 1))
+    in_test = ~in_train & (rng.random((n_users, n_articles)) < 0.4)
+    train, test = (InteractionMatrix.from_pairs(*np.nonzero(mask), n_users, n_articles)
+                   for mask in (in_train, in_test))
+    tied = rng.integers(0, 3, size=(n_users, n_articles)).astype(np.float64)
+    shared = tied[0]
+    for ks in ([1, 5, 10], [20, 24], [5, 40]):        # 40 > n_articles
+        assert (ev.evaluate(lambda users: tied[users], train, test, ks)
+                == ref.evaluate(lambda i: tied[i], train, test, ks))
+        assert (ev.evaluate(lambda users: shared, train, test, ks)
+                == ref.evaluate(lambda i: shared, train, test, ks))
