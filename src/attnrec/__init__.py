@@ -2,8 +2,8 @@
 factorization over implicit feedback, with a ranking evaluation harness."""
 
 from .autoencoder import AttentiveAutoencoder, load_autoencoder, pretrain, save_autoencoder
-from .cf import (FactorModel, init_model, make_prior, objective, pop_baseline,
-                 predict_scores, train_als)
+from .cf import (FactorModel, init_model, make_prior, objective, predict_scores,
+                 train_als)
 from .corpus import ContentMatrix, InteractionMatrix, TagMatrix, Vocabulary
 from .errors import (BoundsError, ConfigError, DataError, Error, NumericalError,
                      ParseError)
@@ -34,7 +34,6 @@ __all__ = [
     "make_splits",
     "ndcg_at_k",
     "objective",
-    "pop_baseline",
     "predict_scores",
     "pretrain",
     "recall_at_k",

@@ -186,5 +186,8 @@ def load_autoencoder(path) -> AttentiveAutoencoder:
         ae = AttentiveAutoencoder(meta["input_dim"], meta["widths"], seed=meta.get("seed", 0))
     except KeyError as exc:
         raise DataError(f"{path}: autoencoder checkpoint lacks {exc.args[0]!r}") from None
-    ae.load_tensors(tensors)
+    try:
+        ae.load_tensors(tensors)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     return ae

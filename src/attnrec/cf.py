@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,41 +124,58 @@ def objective(r: InteractionMatrix, model: FactorModel, prior: np.ndarray) -> fl
     return 0.5 * (weighted + reg_u + reg_v)
 
 
-def _solve_row(obs_factors: np.ndarray, gram: np.ndarray, a: float, b: float,
-               lam: float, prior_row: np.ndarray) -> np.ndarray:
-    """Exact solve for one row, in prior-centered coordinates w = x - prior:
-    (B + lam I) w = rhs - B @ prior. A cold article with zero factors on the
-    other side inherits its prior bit-exactly; users pass a zero prior. With
-    no observations, ``obs^T obs`` and the sum are exact zeros.
+# Float64 values one chunk of ``_solve_rows`` may hold per scratch array: its
+# g x c x d gather and its g x d x d systems each stay near 0.5 MB.
+_CHUNK_VALUES = 1 << 16
+
+
+def _solve_rows(select, fixed, observed, lam, prior, a, b, out) -> np.ndarray:
+    """Exact solves of rows ``select`` with ``fixed`` held constant; row i's
+    observed ``fixed`` rows O are row i of ``observed`` (CSR for users, CSC for
+    articles). ``prior`` holds one row p per selected row; the solution of
+    selected row k goes to ``out[k]``, and ``out`` is returned.
+
+    Each row solves (B + lam I) w = a * sum(O) - B p for w = x - p, with
+    B = b G + (a - b) O^T O and G the Gram matrix of ``fixed``. Rows without
+    observations share one factor, x = p - (b G + lam I)^-1 b G p, so a cold
+    article with zero factors on the other side inherits its prior bit-exactly.
+    The rest are solved by equal observation count, one batched solve per chunk.
+    Every step acts on each row alone, so a row's result does not depend on
+    which rows share its selection or chunk.
     """
-    B = b * gram + (a - b) * (obs_factors.T @ obs_factors)
-    rhs = a * obs_factors.sum(axis=0) - B @ prior_row
-    B.flat[::B.shape[0] + 1] += lam  # B + lam I, in place
-    return cho_solve(cho_factor(B), rhs) + prior_row
-
-
-def _half_sweep(rows, fixed, observed, lam, prior, a, b):
-    """Re-solve ``rows`` in place with ``fixed`` held constant; row i's observed
-    ``fixed`` rows are row i of ``observed`` (CSR for users, CSC for articles)."""
-    gram = fixed.T @ fixed
-    for i in range(rows.shape[0]):
-        obs = observed.indices[observed.indptr[i]:observed.indptr[i + 1]]
-        rows[i] = _solve_row(fixed[obs], gram, a, b, lam, prior[i])
+    d = fixed.shape[1]
+    bg, shift = b * (fixed.T @ fixed), lam * np.eye(d)
+    counts = np.diff(observed.indptr)[select]
+    order = np.argsort(counts, kind="stable")
+    values, starts = np.unique(counts[order], return_index=True)
+    for c, group in zip(values, np.split(order, starts[1:])):
+        if c == 0:
+            K = cho_solve(cho_factor(bg + shift), bg)
+        step = max(1, _CHUNK_VALUES // (d * max(c, d)))
+        for lo in range(0, group.size, step):
+            part = group[lo:lo + step]
+            p = prior[part]
+            if c == 0:
+                out[part] = p - (p[:, None, :] @ K.T)[:, 0, :]
+                continue
+            obs = fixed[observed.indices[observed.indptr[select[part], None] + np.arange(c)]]
+            B = bg + (a - b) * (obs.transpose(0, 2, 1) @ obs)  # g x d x d
+            rhs = a * obs.sum(axis=1) - (B @ p[:, :, None])[:, :, 0]
+            out[part] = np.linalg.solve(B + shift, rhs[:, :, None])[:, :, 0] + p
+    return out
 
 
 def update_user(i: int, r: InteractionMatrix, model: FactorModel) -> np.ndarray:
     """Closed-form solve for user row i with V fixed; does not mutate the model."""
-    return _solve_row(model.V[r.user_items(i)], model.V.T @ model.V, model.a, model.b,
-                      model.lambda_u, np.zeros(model.d))
+    return _solve_rows(np.array([i]), model.V, r.matrix, model.lambda_u,
+                       np.zeros((1, model.d)), model.a, model.b, np.empty((1, model.d)))[0]
 
 
 def update_item(j: int, r: InteractionMatrix, model: FactorModel,
                 prior: np.ndarray) -> np.ndarray:
     """Closed-form solve for article row j with U fixed; does not mutate the model."""
-    U = model.U
-    csc = r.matrix.tocsc()
-    obs_users = csc.indices[csc.indptr[j]:csc.indptr[j + 1]]
-    return _solve_row(U[obs_users], U.T @ U, model.a, model.b, model.lambda_v, prior[j])
+    return _solve_rows(np.array([j]), model.U, r.matrix.tocsc(), model.lambda_v,
+                       prior[[j]], model.a, model.b, np.empty((1, model.d)))[0]
 
 
 def train_als(r: InteractionMatrix, model: FactorModel, prior: np.ndarray,
@@ -171,17 +189,23 @@ def train_als(r: InteractionMatrix, model: FactorModel, prior: np.ndarray,
     if prior.shape != model.V.shape:
         raise ConfigError(f"prior shape {prior.shape} != V shape {model.V.shape}")
     csc = r.matrix.tocsc()
+    users, articles = np.arange(r.n_users), np.arange(r.n_articles)
     zero_prior = np.zeros_like(model.U)
     trace = [objective(r, model, prior)]
     for sweep in range(max_sweeps):
-        _half_sweep(model.U, model.V, r.matrix, model.lambda_u, zero_prior, model.a, model.b)
-        _half_sweep(model.V, model.U, csc, model.lambda_v, prior, model.a, model.b)
+        start = time.perf_counter()
+        _solve_rows(users, model.V, r.matrix, model.lambda_u, zero_prior, model.a, model.b,
+                    model.U)
+        half = time.perf_counter()
+        _solve_rows(articles, model.U, csc, model.lambda_v, prior, model.a, model.b, model.V)
+        solved = time.perf_counter()
         value = objective(r, model, prior)
         prev = trace[-1]
         trace.append(value)
         if value - prev > 1e-9 * max(1.0, abs(prev)):
             raise NumericalError(f"objective increased at sweep {sweep}: {prev!r} -> {value!r}")
-        logger.debug("sweep %d: objective %.6f", sweep, value)
+        logger.debug("sweep %d: objective %.6f, user half %.3f s, article half %.3f s",
+                     sweep, value, half - start, solved - half)
         rel_drop = (prev - value) / max(abs(prev), 1e-300)
         if rel_drop < tol:
             break
@@ -194,12 +218,6 @@ def predict_scores(model: FactorModel, users) -> np.ndarray:
     if users.size and not (0 <= users.min() and users.max() < model.U.shape[0]):
         raise IndexError(f"user index out of range [0, {model.U.shape[0]})")
     return model.U[users] @ model.V.T
-
-
-def pop_baseline(r_train: InteractionMatrix) -> np.ndarray:
-    """Articles ordered by training popularity, ties by ascending id."""
-    counts = r_train.item_counts()
-    return np.argsort(-counts, kind="stable")
 
 
 def save_factors(path, model: FactorModel, sweeps: int = 0):
@@ -219,9 +237,15 @@ def load_factors(path):
     """Return (FactorModel, sweeps). Factors come back at f32 precision."""
     tensors, meta = storage.read_tensors(path)
     try:
-        model = FactorModel(U=tensors["U"], V=tensors["V"], lambda_u=meta["lambda_u"],
-                            lambda_v=meta["lambda_v"], a=meta["a"], b=meta["b"],
-                            variant=meta["variant"])
+        U, V = tensors["U"], tensors["V"]
+        fields = {key: meta[key] for key in ("lambda_u", "lambda_v", "a", "b", "variant")}
     except KeyError as exc:
         raise DataError(f"{path}: factor checkpoint lacks {exc.args[0]!r}") from None
-    return model, meta.get("sweeps", 0)
+    for key, value in fields.items():
+        kind = str if key == "variant" else (int, float)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise DataError(f"{path}: factor checkpoint has {key}={value!r} of the wrong type")
+    if not (U.ndim == V.ndim == 2 and U.shape[1] == V.shape[1]):
+        raise DataError(f"{path}: factor tensors U {U.shape} and V {V.shape} "
+                        "differ in width or rank")
+    return FactorModel(U=U, V=V, **fields), meta.get("sweeps", 0)

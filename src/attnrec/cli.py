@@ -371,11 +371,9 @@ def cmd_train(config: ExperimentConfig, args) -> int:
         else:
             prior = cf.make_prior(config.variant, interactions.n_articles, config.d,
                                   text_latent, tag_latent)
-            splits = evaluation.make_splits(interactions, config.p, seeds["split"],
-                                            config.n_splits)
             traces = {}
             for index in config.splits:
-                r_train, _ = splits[index]
+                r_train, _ = _split(config, interactions, index)
                 model = cf.init_model(interactions.n_users, interactions.n_articles,
                                       config.d, lambda_u=config.lambda_u,
                                       lambda_v=config.lambda_v, a=config.a,

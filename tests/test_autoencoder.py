@@ -138,3 +138,12 @@ def test_load_autoencoder_names_file_and_missing_key(tmp_path, drop):
     storage.write_tensors(path, ae.named_tensors(), meta)
     with pytest.raises(DataError, match=rf"ae\.bin.*'{drop}'"):
         load_autoencoder(path)
+
+
+def test_load_autoencoder_names_file_of_a_missing_tensor(tmp_path):
+    ae = AttentiveAutoencoder(30, [8], seed=11)
+    tensors = {name: t for name, t in ae.named_tensors().items() if name != "dense0/w"}
+    path = tmp_path / "ae.bin"
+    storage.write_tensors(path, tensors, {"input_dim": 30, "widths": [8], "seed": 11})
+    with pytest.raises(DataError, match=r"ae\.bin.*dense0/w"):
+        load_autoencoder(path)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from attnrec import cf, storage
+import _als_reference as reference
+from attnrec import cf, evaluation, storage
 from attnrec.corpus import InteractionMatrix
 from attnrec.errors import ConfigError, DataError
 
@@ -122,6 +123,48 @@ def test_train_als_sweep_equals_public_row_updates():
     assert np.array_equal(trained.V, by_rows.V)
 
 
+def _split_instance(p, seed, n_users=40, n_articles=70, d=4):
+    """Users 0 and 1 save nothing and every other user saves ``p`` random
+    articles, as in a P-split; many articles then have no observation."""
+    rng = np.random.default_rng(seed)
+    users = np.repeat(np.arange(2, n_users), p)
+    articles = np.concatenate([rng.choice(n_articles, size=p, replace=False)
+                               for _ in range(2, n_users)])
+    r = InteractionMatrix.from_pairs(users, articles, n_users, n_articles)
+    model = cf.init_model(n_users, n_articles, d, lambda_u=0.7, lambda_v=0.3, seed=seed)
+    return r, model
+
+
+@pytest.mark.parametrize("chunk_values", [None, 40])
+@pytest.mark.parametrize("p", [1, 5])
+@pytest.mark.parametrize("prior_scale", [0.0, 0.3])
+def test_sweep_matches_row_loop_reference(monkeypatch, chunk_values, p, prior_scale):
+    if chunk_values is not None:
+        # 40 values hold two rows of d=4, so every count group spans chunks.
+        monkeypatch.setattr(cf, "_CHUNK_VALUES", chunk_values)
+    r, model = _split_instance(p, seed=p)
+    _, expected = _split_instance(p, seed=p)
+    prior = np.random.default_rng(1).normal(scale=prior_scale, size=model.V.shape)
+    counts = r.item_counts()
+    assert (counts == 0).any() and (np.bincount(counts) > 2).sum() >= 2
+    assert (np.diff(r.matrix.indptr) == 0).sum() == 2
+    cf.train_als(r, model, prior, max_sweeps=1, tol=0.0)
+    reference.sweep(r, expected, prior)
+    for got, want in ((model.U, expected.U), (model.V, expected.V)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_train_als_is_bit_exact_across_chunk_sizes(monkeypatch):
+    r, model = _split_instance(5, seed=2)
+    _, small = _split_instance(5, seed=2)
+    prior = np.random.default_rng(3).normal(scale=0.3, size=model.V.shape)
+    cf.train_als(r, model, prior, max_sweeps=3, tol=0.0)
+    monkeypatch.setattr(cf, "_CHUNK_VALUES", 1)  # one row per chunk
+    cf.train_als(r, small, prior, max_sweeps=3, tol=0.0)
+    assert np.array_equal(model.U, small.U)
+    assert np.array_equal(model.V, small.V)
+
+
 def test_cold_article_inherits_prior_exactly():
     dense, r, model, prior = _random_instance(6)
     # article 0 never interacted with anyone, and the user side is all zero
@@ -182,8 +225,9 @@ def test_prior_shape_mismatch_rejected():
 
 
 def test_pop_baseline_ties_ascending():
+    # The pop scorer ranks the item_counts() row through top_k.
     r = InteractionMatrix.from_pairs([0, 1, 0, 1], [2, 2, 3, 1], 2, 5)
-    order = cf.pop_baseline(r)
+    order = evaluation.top_k(r.item_counts().astype(np.float64), 5)
     # counts: [0, 1, 2, 1, 0] -> article 2 first, then 1 before 3, then 0 before 4
     assert order.tolist() == [2, 1, 3, 0, 4]
 
@@ -223,4 +267,26 @@ def test_load_factors_names_file_and_missing_key(tmp_path, drop):
     path = tmp_path / "factors.bin"
     storage.write_tensors(path, tensors, meta)
     with pytest.raises(DataError, match=rf"factors\.bin.*'{drop}'"):
+        cf.load_factors(path)
+
+
+@pytest.mark.parametrize("key, value", [("lambda_u", "x"), ("a", None),
+                                        ("b", True), ("variant", 3)])
+def test_load_factors_names_file_and_wrong_typed_key(tmp_path, key, value):
+    _, _, model, _ = _random_instance(12)
+    meta = {"lambda_u": 0.7, "lambda_v": 0.3, "a": 1.0, "b": 0.01, "variant": "wrmf",
+            key: value}
+    path = tmp_path / "factors.bin"
+    storage.write_tensors(path, {"U": model.U, "V": model.V}, meta)
+    with pytest.raises(DataError, match=rf"factors\.bin.*{key}="):
+        cf.load_factors(path)
+
+
+@pytest.mark.parametrize("V", [np.zeros((9, 2)), np.zeros(9)])
+def test_load_factors_rejects_factor_width_mismatch_as_data(tmp_path, V):
+    _, _, model, _ = _random_instance(13)
+    meta = {"lambda_u": 0.7, "lambda_v": 0.3, "a": 1.0, "b": 0.01, "variant": "wrmf"}
+    path = tmp_path / "factors.bin"
+    storage.write_tensors(path, {"U": model.U, "V": V}, meta)
+    with pytest.raises(DataError, match=r"factors\.bin.*width"):
         cf.load_factors(path)

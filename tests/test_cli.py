@@ -264,3 +264,36 @@ def test_recommend_with_incomplete_factor_checkpoint_exits_2(workspace, capsys):
     err = capsys.readouterr().err
     assert "factors-split1.bin" in err and "'lambda_u'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("damage", ["wrong_type", "width"])
+def test_recommend_with_damaged_factor_checkpoint_exits_2(workspace, capsys, damage):
+    data, runs = workspace
+    extra = ("--variant", "wrmf")
+    assert cli.main(_args("preprocess", data, runs, *extra)) == 0
+    assert cli.main(_args("train", data, runs, *extra)) == 0
+    path = _single_run_dir(runs, "train-") / "factors-split1.bin"
+    tensors, meta = storage.read_tensors(path)
+    if damage == "wrong_type":
+        meta["lambda_u"] = "x"
+    else:
+        tensors["V"] = tensors["V"][:, 1:]
+    storage.write_tensors(path, tensors, meta)
+    capsys.readouterr()
+    assert cli.main(_args("recommend", data, runs, *extra, "3")) == 2
+    err = capsys.readouterr().err
+    assert "factors-split1.bin" in err
+    assert ("lambda_u='x'" if damage == "wrong_type" else "width") in err
+    assert "Traceback" not in err
+
+
+def test_train_derives_only_the_configured_splits(workspace, monkeypatch):
+    data, runs = workspace
+    extra = ("--variant", "wrmf", "--n-splits", "4", "--splits", "2")
+    assert cli.main(_args("preprocess", data, runs, *extra)) == 0
+    calls = []
+    make_split = evaluation.make_split
+    monkeypatch.setattr(evaluation, "make_split",
+                        lambda *a: calls.append(1) or make_split(*a))
+    assert cli.main(_args("train", data, runs, *extra)) == 0
+    assert len(calls) == 1
