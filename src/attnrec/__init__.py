@@ -7,8 +7,7 @@ from .cf import (FactorModel, init_model, make_prior, objective, predict_scores,
 from .corpus import ContentMatrix, InteractionMatrix, TagMatrix, Vocabulary
 from .errors import (BoundsError, ConfigError, DataError, Error, NumericalError,
                      ParseError)
-from .evaluation import (MetricReport, evaluate, make_split, make_splits,
-                         ndcg_at_k, recall_at_k, top_k)
+from .evaluation import MetricReport, evaluate, make_split, ndcg_at_k, recall_at_k, top_k
 
 __version__ = "0.1.0"
 
@@ -31,7 +30,6 @@ __all__ = [
     "load_autoencoder",
     "make_prior",
     "make_split",
-    "make_splits",
     "ndcg_at_k",
     "objective",
     "predict_scores",

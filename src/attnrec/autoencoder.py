@@ -186,6 +186,8 @@ def load_autoencoder(path) -> AttentiveAutoencoder:
         ae = AttentiveAutoencoder(meta["input_dim"], meta["widths"], seed=meta.get("seed", 0))
     except KeyError as exc:
         raise DataError(f"{path}: autoencoder checkpoint lacks {exc.args[0]!r}") from None
+    except (TypeError, ValueError, ConfigError) as exc:
+        raise DataError(f"{path}: bad autoencoder checkpoint metadata: {exc}") from None
     try:
         ae.load_tensors(tensors)
     except DataError as exc:

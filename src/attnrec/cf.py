@@ -248,4 +248,8 @@ def load_factors(path):
     if not (U.ndim == V.ndim == 2 and U.shape[1] == V.shape[1]):
         raise DataError(f"{path}: factor tensors U {U.shape} and V {V.shape} "
                         "differ in width or rank")
-    return FactorModel(U=U, V=V, **fields), meta.get("sweeps", 0)
+    try:
+        model = FactorModel(U=U, V=V, **fields)
+    except ConfigError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    return model, meta.get("sweeps", 0)

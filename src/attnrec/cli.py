@@ -81,6 +81,8 @@ class ExperimentConfig:
             raise ConfigError(f"tol must be a number >= 0, got {self.tol}")
         if self.max_sweeps < 1:
             raise ConfigError("max_sweeps must be >= 1")
+        if self.vocab_size < 1:
+            raise ConfigError("vocab_size must be >= 1")
         if not self.ks or any(k < 1 for k in self.ks):
             raise ConfigError("ks must be a nonempty list of cutoffs >= 1")
         if self.n_splits < 1 or any(not 0 <= s < self.n_splits for s in self.splits):
@@ -324,17 +326,9 @@ def cmd_preprocess(config: ExperimentConfig, args) -> int:
     return 0
 
 
-def _load_caches(config: ExperimentConfig):
-    cache = run_dir(config, "preprocess")
-    _require(os.path.join(cache, "interactions.bin"), "preprocess")
-    interactions = InteractionMatrix.load(os.path.join(cache, "interactions.bin"))
-    content = tags = None
-    if config.needs_text:
-        content = ContentMatrix.load(
-            _require(os.path.join(cache, "content.bin"), "preprocess"))
-    if config.needs_tags:
-        tags = TagMatrix.load(_require(os.path.join(cache, "tags.bin"), "preprocess"))
-    return cache, interactions, content, tags
+def _cached(config: ExperimentConfig, name: str) -> str:
+    """Path of one file in the preprocess cache, which must exist."""
+    return _require(os.path.join(run_dir(config, "preprocess"), name), "preprocess")
 
 
 def _pretrain_latent(matrix, widths, seed, config, tmp, name):
@@ -352,7 +346,9 @@ def _pretrain_latent(matrix, widths, seed, config, tmp, name):
 
 
 def cmd_train(config: ExperimentConfig, args) -> int:
-    cache, interactions, content, tags = _load_caches(config)
+    interactions = InteractionMatrix.load(_cached(config, "interactions.bin"))
+    content = ContentMatrix.load(_cached(config, "content.bin")) if config.needs_text else None
+    tags = TagMatrix.load(_cached(config, "tags.bin")) if config.needs_tags else None
     seeds = config.seeds()
     final = run_dir(config, "train")
     with _RunDir(final) as tmp:
@@ -391,6 +387,7 @@ def cmd_train(config: ExperimentConfig, args) -> int:
                 fh.write("\n")
             stats["sweeps"] = {k: len(v) - 1 for k, v in traces.items()}
 
+        cache = run_dir(config, "preprocess")
         cache_files = [os.path.join(cache, n) for n in os.listdir(cache)
                        if n.endswith(".bin")]
         _write_manifest(tmp, "train", config, _TRAIN_KEYS, cache_files, stats)
@@ -429,7 +426,7 @@ def _evaluate_variant(config: ExperimentConfig, splits: dict) -> list:
 
 
 def cmd_evaluate(config: ExperimentConfig, args) -> int:
-    _, interactions, _, _ = _load_caches(config)
+    interactions = InteractionMatrix.load(_cached(config, "interactions.bin"))
     splits = {index: _split(config, interactions, index) for index in config.splits}
     reports = _evaluate_variant(config, splits)
 
@@ -486,7 +483,7 @@ def _write_improvement(tmp, ours: list, base: list, base_name: str):
 
 
 def cmd_recommend(config: ExperimentConfig, args) -> int:
-    _, interactions, _, _ = _load_caches(config)
+    interactions = InteractionMatrix.load(_cached(config, "interactions.bin"))
     if not 0 <= args.user_id < interactions.n_users:
         raise ConfigError(f"user id must lie in [0, {interactions.n_users})")
     index = args.split if args.split is not None else config.splits[0]

@@ -55,12 +55,6 @@ class InteractionMatrix:
         """Per-article interaction count over all users."""
         return np.bincount(self.matrix.indices, minlength=self.n_articles).astype(np.int64)
 
-    def pairs(self):
-        """(users, articles) arrays sorted ascending by (user, article)."""
-        coo = self.matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        return coo.row[order].astype(np.int64), coo.col[order].astype(np.int64)
-
     @classmethod
     def from_pairs(cls, users, articles, n_users: int, n_articles: int) -> "InteractionMatrix":
         users = np.asarray(users, dtype=np.int64)
@@ -78,16 +72,11 @@ class InteractionMatrix:
         return cls(mat)
 
     def save(self, path):
-        users, articles = self.pairs()
-        storage.write_interactions(path, self.n_users, self.n_articles, users, articles)
+        storage.write_interactions(path, self.matrix)
 
     @classmethod
     def load(cls, path) -> "InteractionMatrix":
-        n_users, n_articles, users, articles = storage.read_interactions(path)
-        try:
-            return cls.from_pairs(users, articles, n_users, n_articles)
-        except BoundsError as exc:
-            raise BoundsError(f"{path}: {exc}") from None
+        return cls(storage.read_interactions(path))
 
 
 @dataclass

@@ -37,11 +37,6 @@ def make_split(r: InteractionMatrix, p: int, rng: np.random.Generator):
     return train, test
 
 
-def make_splits(r: InteractionMatrix, p: int, seed: int, n_repeats: int = 4) -> list:
-    """Independent splits; index 0 is conventionally used for validation."""
-    return [make_split(r, p, np.random.default_rng([seed, i])) for i in range(n_repeats)]
-
-
 def _member(indptr, indices, shape) -> np.ndarray:
     """Boolean block, True where CSR row i lists column j."""
     out = np.zeros(shape, dtype=bool)

@@ -1,11 +1,8 @@
 """Binary cache and checkpoint formats.
 
-All integers are little-endian. Three matrix cache layouts share the same
-header convention (4 magic bytes, then a version byte):
-
-interaction cache (magic ``RXIM``, version 1)
-    u32 n_users, u32 n_articles, u64 n_pairs, then n_pairs records of
-    (u32 user, u32 article) sorted ascending by (user, article).
+All integers are little-endian. Every file starts with 4 magic bytes and
+a version byte. The three matrix caches are CSR, and column indices rise
+strictly within each row:
 
 content cache (magic ``RXCM``, version 1)
     u32 n_rows, u32 n_cols, u64 nnz, (n_rows+1) x u64 row pointers,
@@ -14,6 +11,10 @@ content cache (magic ``RXCM``, version 1)
 tag cache (magic ``RXTM``, version 1)
     u32 n_rows, u32 n_cols, u64 nnz, (n_rows+1) x u64 row pointers,
     nnz x u32 column indices. Values are implicitly 1.
+
+interaction cache (magic ``RXIM``, version 2)
+    The tag-cache layout over users x articles. Version 1 stored sorted
+    (user, article) pairs and is refused.
 
 tensor container (magic ``RXTN``, version 1)
     u32 metadata length, metadata as UTF-8 JSON (sorted keys), u32 tensor
@@ -29,13 +30,13 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from .errors import DataError
+from .errors import BoundsError, DataError
 
 MAGIC_INTERACTIONS = b"RXIM"
 MAGIC_CONTENT = b"RXCM"
 MAGIC_TAGS = b"RXTM"
 MAGIC_TENSORS = b"RXTN"
-VERSION = 1
+_VERSIONS = {MAGIC_INTERACTIONS: 2, MAGIC_CONTENT: 1, MAGIC_TAGS: 1, MAGIC_TENSORS: 1}
 
 _U8 = np.dtype("<u1")
 _U16 = np.dtype("<u2")
@@ -84,46 +85,15 @@ def _check_header(reader: _Reader, magic: bytes):
             f"{reader.path}: bad magic {got!r}, expected {magic!r}"
         )
     version = reader.scalar(_U8)
-    if version != VERSION:
+    if version != _VERSIONS[magic]:
         raise DataError(f"{reader.path}: unsupported version {version}")
-
-
-def write_interactions(path, n_users: int, n_articles: int,
-                       users: np.ndarray, articles: np.ndarray):
-    """Write sorted (user, article) pairs. Pairs must already be deduplicated."""
-    users = np.asarray(users, dtype=np.int64)
-    articles = np.asarray(articles, dtype=np.int64)
-    order = np.lexsort((articles, users))
-    parts = [
-        MAGIC_INTERACTIONS,
-        np.array([VERSION], dtype=_U8).tobytes(),
-        np.array([n_users, n_articles], dtype=_U32).tobytes(),
-        np.array([len(users)], dtype=_U64).tobytes(),
-        np.ascontiguousarray(
-            np.stack([users[order], articles[order]], axis=1).astype(_U32)
-        ).tobytes(),
-    ]
-    Path(path).write_bytes(b"".join(parts))
-
-
-def read_interactions(path):
-    """Return (n_users, n_articles, users, articles)."""
-    reader = _Reader(Path(path).read_bytes(), path)
-    _check_header(reader, MAGIC_INTERACTIONS)
-    n_users = reader.scalar(_U32)
-    n_articles = reader.scalar(_U32)
-    n_pairs = reader.scalar(_U64)
-    flat = reader.take(_U32, 2 * n_pairs).reshape(n_pairs, 2)
-    reader.finish()
-    return n_users, n_articles, flat[:, 0].copy(), flat[:, 1].copy()
 
 
 def _write_csr(path, magic: bytes, matrix: sparse.csr_matrix, with_values: bool):
     matrix = matrix.tocsr()
     matrix.sort_indices()
     parts = [
-        magic,
-        np.array([VERSION], dtype=_U8).tobytes(),
+        magic + bytes([_VERSIONS[magic]]),
         np.array(matrix.shape, dtype=_U32).tobytes(),
         np.array([matrix.nnz], dtype=_U64).tobytes(),
         matrix.indptr.astype(_U64).tobytes(),
@@ -150,8 +120,25 @@ def _read_csr(path, magic: bytes, with_values: bool) -> sparse.csr_matrix:
     if indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0):
         raise DataError(f"{path}: row pointers must rise from 0 to nnz={nnz}")
     if nnz and int(indices.max()) >= n_cols:
-        raise DataError(f"{path}: column index {int(indices.max())} >= n_cols={n_cols}")
+        raise BoundsError(f"{path}: column index {int(indices.max())} >= n_cols={n_cols}")
+    # Ids must rise strictly from each position to the next, except where
+    # the next position starts a row.
+    starts = np.zeros(nnz + 1, dtype=bool)
+    starts[indptr] = True
+    falls = np.flatnonzero((indices[1:] <= indices[:-1]) & ~starts[1:-1])
+    if falls.size:
+        row = int(np.searchsorted(indptr, falls[0] + 1, side="right")) - 1
+        raise DataError(f"{path}: column indices must rise strictly within each row; "
+                        f"row {row} does not")
     return sparse.csr_matrix((data, indices.astype(np.int32), indptr), shape=(n_rows, n_cols))
+
+
+def write_interactions(path, matrix: sparse.csr_matrix):
+    _write_csr(path, MAGIC_INTERACTIONS, matrix, with_values=False)
+
+
+def read_interactions(path) -> sparse.csr_matrix:
+    return _read_csr(path, MAGIC_INTERACTIONS, with_values=False)
 
 
 def write_content(path, matrix: sparse.csr_matrix):
@@ -177,8 +164,7 @@ def write_tensors(path, tensors: dict, meta: dict | None = None):
     """
     meta_bytes = json.dumps(meta or {}, sort_keys=True).encode("utf-8")
     parts = [
-        MAGIC_TENSORS,
-        np.array([VERSION], dtype=_U8).tobytes(),
+        MAGIC_TENSORS + bytes([_VERSIONS[MAGIC_TENSORS]]),
         np.array([len(meta_bytes)], dtype=_U32).tobytes(),
         meta_bytes,
         np.array([len(tensors)], dtype=_U32).tobytes(),

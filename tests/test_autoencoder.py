@@ -140,6 +140,17 @@ def test_load_autoencoder_names_file_and_missing_key(tmp_path, drop):
         load_autoencoder(path)
 
 
+@pytest.mark.parametrize("key, value", [("input_dim", "x"), ("widths", 8),
+                                        ("widths", [8, 9]), ("input_dim", 8)])
+def test_load_autoencoder_names_file_of_bad_metadata(tmp_path, key, value):
+    ae = AttentiveAutoencoder(30, [8], seed=10)
+    meta = {"input_dim": 30, "widths": [8], "seed": 10, key: value}
+    path = tmp_path / "ae.bin"
+    storage.write_tensors(path, ae.named_tensors(), meta)
+    with pytest.raises(DataError, match=r"ae\.bin: bad autoencoder checkpoint metadata"):
+        load_autoencoder(path)
+
+
 def test_load_autoencoder_names_file_of_a_missing_tensor(tmp_path):
     ae = AttentiveAutoencoder(30, [8], seed=11)
     tensors = {name: t for name, t in ae.named_tensors().items() if name != "dense0/w"}

@@ -282,6 +282,20 @@ def test_load_factors_names_file_and_wrong_typed_key(tmp_path, key, value):
         cf.load_factors(path)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"a": 0.01, "b": 1.0}, "a > b > 0"),
+    ({"lambda_v": -1.0}, "nonnegative"),
+    ({"variant": "nope"}, "unknown variant 'nope'"),
+])
+def test_load_factors_refuses_invalid_hyperparameters_as_data(tmp_path, bad, message):
+    _, _, model, _ = _random_instance(14)
+    meta = {"lambda_u": 0.7, "lambda_v": 0.3, "a": 1.0, "b": 0.01, "variant": "wrmf", **bad}
+    path = tmp_path / "factors.bin"
+    storage.write_tensors(path, {"U": model.U, "V": model.V}, meta)
+    with pytest.raises(DataError, match=rf"factors\.bin: .*{message}"):
+        cf.load_factors(path)
+
+
 @pytest.mark.parametrize("V", [np.zeros((9, 2)), np.zeros(9)])
 def test_load_factors_rejects_factor_width_mismatch_as_data(tmp_path, V):
     _, _, model, _ = _random_instance(13)

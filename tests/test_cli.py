@@ -38,7 +38,7 @@ def _single_run_dir(runs, prefix):
     return runs / matches[0]
 
 
-def test_full_pipeline(workspace, capsys):
+def test_full_pipeline(workspace, capsys, monkeypatch):
     data, runs = workspace
     assert cli.main(_args("preprocess", data, runs)) == 0
     pre = _single_run_dir(runs, "preprocess-")
@@ -56,6 +56,11 @@ def test_full_pipeline(workspace, capsys):
     traces = json.loads((train / "objective_trace.json").read_text())
     values = traces["1"]
     assert all(b <= a + 1e-9 * max(1.0, abs(a)) for a, b in zip(values, values[1:]))
+
+    def unread(path):
+        raise AssertionError(f"evaluate and recommend need only interactions.bin, read {path}")
+    monkeypatch.setattr(storage, "read_content", unread)
+    monkeypatch.setattr(storage, "read_tags", unread)
 
     assert cli.main(_args("evaluate", data, runs, "--compare", "pop")) == 0
     evald = _single_run_dir(runs, "evaluate-")
@@ -177,6 +182,7 @@ def test_config_validation_errors():
     ("--tol", "-1e-4", "tol"),
     ("--tol", "nan", "tol"),
     ("--max-sweeps", "0", "max_sweeps"),
+    ("--vocab-size", "0", "vocab_size"),
 ])
 def test_out_of_range_config_values_exit_1(tmp_path, capsys, flag, value, field):
     rc = cli.main(["train", "--out-dir", str(tmp_path), f"{flag}={value}"])
@@ -266,7 +272,7 @@ def test_recommend_with_incomplete_factor_checkpoint_exits_2(workspace, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("damage", ["wrong_type", "width"])
+@pytest.mark.parametrize("damage", ["wrong_type", "width", "weights"])
 def test_recommend_with_damaged_factor_checkpoint_exits_2(workspace, capsys, damage):
     data, runs = workspace
     extra = ("--variant", "wrmf")
@@ -276,6 +282,8 @@ def test_recommend_with_damaged_factor_checkpoint_exits_2(workspace, capsys, dam
     tensors, meta = storage.read_tensors(path)
     if damage == "wrong_type":
         meta["lambda_u"] = "x"
+    elif damage == "weights":
+        meta["a"], meta["b"] = 0.01, 1.0
     else:
         tensors["V"] = tensors["V"][:, 1:]
     storage.write_tensors(path, tensors, meta)
@@ -283,7 +291,8 @@ def test_recommend_with_damaged_factor_checkpoint_exits_2(workspace, capsys, dam
     assert cli.main(_args("recommend", data, runs, *extra, "3")) == 2
     err = capsys.readouterr().err
     assert "factors-split1.bin" in err
-    assert ("lambda_u='x'" if damage == "wrong_type" else "width") in err
+    assert {"wrong_type": "lambda_u='x'", "width": "width",
+            "weights": "a > b > 0"}[damage] in err
     assert "Traceback" not in err
 
 

@@ -1,9 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from attnrec import corpus, storage
+from attnrec import corpus
 from attnrec.errors import BoundsError, DataError, ParseError
 
 
@@ -79,9 +80,8 @@ def test_load_interactions_counted_format(tmp_path):
     assert (r.n_users, r.n_articles) == (2, 5)
     # duplicate (0, 4) collapses to a single binary entry
     assert r.n_pairs == 4
-    users, articles = r.pairs()
-    assert list(zip(users.tolist(), articles.tolist())) == [
-        (0, 1), (0, 4), (1, 0), (1, 2)]
+    assert r.user_items(0).tolist() == [1, 4]
+    assert r.user_items(1).tolist() == [0, 2]
 
 
 def test_load_interactions_count_mismatch(tmp_path):
@@ -182,7 +182,8 @@ def test_interaction_matrix_roundtrip(tmp_path):
 
 
 def test_interaction_cache_bad_article_names_file(tmp_path):
+    # one user whose single article id 7 lies outside n_articles=2
     path = tmp_path / "interactions.bin"
-    storage.write_interactions(path, 1, 2, [0], [7])
-    with pytest.raises(BoundsError, match=r"interactions\.bin.*article index out of range"):
+    path.write_bytes(b"RXIM\x02" + struct.pack("<IIQ2QI", 1, 2, 1, 0, 1, 7))
+    with pytest.raises(BoundsError, match=r"interactions\.bin.*column index 7 >= n_cols=2"):
         corpus.InteractionMatrix.load(path)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import _eval_reference as ref
+from attnrec import cli
 from attnrec import evaluation as ev
 from attnrec.corpus import InteractionMatrix
 from attnrec.errors import ConfigError, NumericalError
@@ -53,17 +54,17 @@ def test_make_split_deterministic_per_seed():
     assert np.array_equal(a_test.matrix.toarray(), b_test.matrix.toarray())
 
 
-def test_make_splits_vary_by_index():
+def test_cli_splits_vary_by_index_and_repeat_per_seed():
     rng = np.random.default_rng(3)
     libraries = [sorted(rng.choice(40, size=10, replace=False).tolist())
                  for _ in range(10)]
     r = _library_matrix(libraries, 40)
-    splits = ev.make_splits(r, 1, seed=5, n_repeats=4)
-    assert len(splits) == 4
+    config = cli.load_config(None, {"p": 1, "seed": 5, "n_splits": 4})
+    splits = [cli._split(config, r, index) for index in range(4)]
     first = splits[0][0].matrix.toarray()
     assert any(not np.array_equal(first, s[0].matrix.toarray()) for s in splits[1:])
-    again = ev.make_splits(r, 1, seed=5, n_repeats=4)
-    assert np.array_equal(splits[2][1].matrix.toarray(), again[2][1].matrix.toarray())
+    again = cli._split(config, r, 2)
+    assert np.array_equal(splits[2][1].matrix.toarray(), again[1].matrix.toarray())
 
 
 def test_top_k_ordering_and_exclusion():

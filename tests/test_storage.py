@@ -9,43 +9,47 @@ from attnrec.errors import DataError
 
 
 def test_interactions_golden_bytes(tmp_path):
-    # Freeze the on-disk layout: magic, version, counts, sorted u32 pairs.
+    # Freeze the on-disk layout: magic, version 2, shape, nnz, u64 row
+    # pointers, then u32 column ids sorted within each row and no values.
     path = tmp_path / "r.bin"
-    storage.write_interactions(path, 1, 2, [0, 0], [1, 0])
-    expected = b"RXIM\x01" + struct.pack("<IIQ", 1, 2, 2)
-    expected += struct.pack("<II", 0, 0) + struct.pack("<II", 0, 1)
+    unsorted = sparse.csr_matrix((np.ones(3), [2, 0, 1], [0, 2, 2, 3]), shape=(3, 4))
+    storage.write_interactions(path, unsorted)
+    expected = b"RXIM\x02" + struct.pack("<IIQ", 3, 4, 3)
+    expected += struct.pack("<4Q", 0, 2, 2, 3) + struct.pack("<3I", 0, 2, 1)
     assert path.read_bytes() == expected
 
 
 def test_interactions_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
-    users = rng.integers(0, 40, size=200)
-    articles = rng.integers(0, 60, size=200)
+    dense = (rng.random((40, 60)) < 0.1).astype(np.float64)
+    dense[7] = 0.0  # a user without saves
     path = tmp_path / "r.bin"
-    storage.write_interactions(path, 40, 60, users, articles)
-    n_users, n_articles, got_u, got_a = storage.read_interactions(path)
-    assert (n_users, n_articles) == (40, 60)
-    pairs = sorted(zip(users.tolist(), articles.tolist()))
-    assert list(zip(got_u.tolist(), got_a.tolist())) == pairs
+    storage.write_interactions(path, sparse.csr_matrix(dense))
+    got = storage.read_interactions(path)
+    assert got.shape == (40, 60)
+    assert got.dtype == np.float64
+    assert np.array_equal(got.toarray(), dense)
 
 
 def test_interactions_bad_magic(tmp_path):
     path = tmp_path / "r.bin"
-    path.write_bytes(b"XXXX\x01" + b"\x00" * 16)
+    path.write_bytes(b"XXXX\x02" + b"\x00" * 24)
     with pytest.raises(DataError):
         storage.read_interactions(path)
 
 
 def test_interactions_bad_version(tmp_path):
+    # Version 1 is the retired pair layout; it is refused, not converted.
     path = tmp_path / "r.bin"
-    path.write_bytes(b"RXIM\x07" + struct.pack("<IIQ", 1, 1, 0))
-    with pytest.raises(DataError):
-        storage.read_interactions(path)
+    for version in (1, 7):
+        path.write_bytes(b"RXIM" + bytes([version]) + struct.pack("<IIQ", 1, 1, 0))
+        with pytest.raises(DataError, match=rf"r\.bin: unsupported version {version}"):
+            storage.read_interactions(path)
 
 
 def test_interactions_truncated(tmp_path):
     path = tmp_path / "r.bin"
-    storage.write_interactions(path, 2, 2, [0, 1], [1, 0])
+    storage.write_interactions(path, sparse.csr_matrix(np.eye(2)[::-1]))
     data = path.read_bytes()
     path.write_bytes(data[:-3])
     with pytest.raises(DataError):
@@ -105,8 +109,12 @@ def test_tensor_truncated_payload(tmp_path):
         storage.read_tensors(path)
 
 
+_VERSIONS = {b"RXIM": 2, b"RXCM": 1, b"RXTM": 1}
+
+
 def _csr_bytes(magic, n_rows, n_cols, indptr, indices, with_values):
-    out = magic + b"\x01" + struct.pack("<IIQ", n_rows, n_cols, len(indices))
+    out = magic + bytes([_VERSIONS[magic]])
+    out += struct.pack("<IIQ", n_rows, n_cols, len(indices))
     out += np.asarray(indptr, dtype="<u8").tobytes()
     out += np.asarray(indices, dtype="<u4").tobytes()
     if with_values:
@@ -121,10 +129,13 @@ def _csr_bytes(magic, n_rows, n_cols, indptr, indices, with_values):
     ([0, 1, 1], [0, 2], "indptr[-1] != nnz"),
     ([0, 1, 2], [0, 3], "column index == n_cols"),
     ([0, 1, 2], [0, 10 ** 6], "column index far out of range"),
+    ([0, 2, 2], [2, 0], "falling column ids in a row"),
+    ([0, 2, 2], [2, 2], "repeated column id in a row"),
 ])
 @pytest.mark.parametrize("magic, reader, with_values", [
     (b"RXCM", storage.read_content, True),
     (b"RXTM", storage.read_tags, False),
+    (b"RXIM", storage.read_interactions, False),
 ])
 def test_csr_cache_structure_refused(tmp_path, indptr, indices, problem,
                                      magic, reader, with_values):
@@ -137,7 +148,7 @@ def test_csr_cache_structure_refused(tmp_path, indptr, indices, problem,
 
 
 def _write_interactions(path):
-    storage.write_interactions(path, 2, 2, [0, 1], [1, 0])
+    storage.write_interactions(path, sparse.csr_matrix(np.eye(2)[::-1]))
 
 
 def _write_content(path):
