@@ -193,3 +193,19 @@ def load_autoencoder(path) -> AttentiveAutoencoder:
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
     return ae
+
+
+def save_latent(path, latent: np.ndarray):
+    """Store latent rows as a content cache with every entry explicit, so the
+    f64 values, signed zeros included, read back bit for bit."""
+    n, d = latent.shape
+    storage.write_content(path, sparse.csr_matrix(
+        (latent.ravel(), np.tile(np.arange(d), n), np.arange(n + 1) * d), shape=(n, d)))
+
+
+def load_latent(path) -> np.ndarray:
+    matrix = storage.read_content(path)
+    n, d = matrix.shape
+    if matrix.nnz != n * d:  # with ids rising in every row, every entry is present
+        raise DataError(f"{path}: latent cache holds {matrix.nnz} of {n}x{d} entries")
+    return matrix.data.reshape(n, d)

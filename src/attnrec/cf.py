@@ -250,6 +250,6 @@ def load_factors(path):
                         "differ in width or rank")
     try:
         model = FactorModel(U=U, V=V, **fields)
-    except ConfigError as exc:
+    except (ConfigError, NumericalError) as exc:
         raise DataError(f"{path}: {exc}") from None
     return model, meta.get("sweeps", 0)

@@ -5,7 +5,9 @@ individual flags, highest priority last. Every command writes its outputs
 under a directory named by a hash of the settings that influence it, next
 to a manifest recording input digests and derived statistics. Reruns with
 identical inputs and seeds produce byte-identical artifacts, so the run
-directories double as caches.
+directories double as caches. Each autoencoder is a stage of its own
+(``ae-text-<hash>``, ``ae-tag-<hash>``) keyed by its input digests, so train
+calls that differ only in factorization settings share one pretraining.
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 bad or missing
 data, 3 numerical failure during optimization.
@@ -17,6 +19,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import shutil
 import sys
@@ -26,7 +29,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import autoencoder as ae_mod
-from . import cf, evaluation, synth
+from . import cf, evaluation, storage, synth
 from .corpus import (ContentMatrix, InteractionMatrix, TagMatrix, build_bow,
                      build_tag_matrix, load_citations, load_interactions,
                      load_mult_content, load_stop_words, load_tag_assignments,
@@ -69,20 +72,19 @@ class ExperimentConfig:
     def validate(self):
         if self.variant not in ALL_VARIANTS:
             raise ConfigError(f"variant must be one of {ALL_VARIANTS}, got {self.variant!r}")
-        if self.p < 1:
-            raise ConfigError("p must be >= 1")
-        if self.d < 1:
-            raise ConfigError("d must be >= 1")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
-        if self.batch_size < 2:
-            raise ConfigError("batch_size must be >= 2")
+        for name in ("lambda_u", "lambda_v", "seed", "min_articles_per_tag", "epochs"):
+            if not 0 <= getattr(self, name) < math.inf:  # also rejects NaN
+                raise ConfigError(f"{name} must be a finite number >= 0, "
+                                  f"got {getattr(self, name)}")
+        for name, least in (("p", 1), ("d", 1), ("batch_size", 2), ("max_sweeps", 1),
+                            ("vocab_size", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}")
+        if not (math.isfinite(self.a) and self.a > self.b > 0):
+            raise ConfigError(f"confidence weights need finite a > b > 0, "
+                              f"got a={self.a}, b={self.b}")
         if not self.tol >= 0:  # also rejects NaN
             raise ConfigError(f"tol must be a number >= 0, got {self.tol}")
-        if self.max_sweeps < 1:
-            raise ConfigError("max_sweeps must be >= 1")
-        if self.vocab_size < 1:
-            raise ConfigError("vocab_size must be >= 1")
         if not self.ks or any(k < 1 for k in self.ks):
             raise ConfigError("ks must be a nonempty list of cutoffs >= 1")
         if self.n_splits < 1 or any(not 0 <= s < self.n_splits for s in self.splits):
@@ -157,9 +159,9 @@ def load_config(path, overrides: dict) -> ExperimentConfig:
             raise ConfigError(f"{key} must be a list of integers") from exc
     try:
         config = ExperimentConfig(**values)
-    except TypeError as exc:
+        config.validate()
+    except TypeError as exc:  # also a config-file value of the wrong type
         raise ConfigError(str(exc)) from exc
-    config.validate()
     return config
 
 
@@ -171,9 +173,16 @@ def _config_subset(config: ExperimentConfig, keys) -> dict:
     return subset
 
 
+def _digest12(payload: dict) -> str:
+    """Directory hash of ``payload`` and the cache-format versions, so that a
+    format bump makes earlier directories stale rather than unreadable."""
+    formats = {magic.decode(): v for magic, v in storage._VERSIONS.items()}
+    text = json.dumps({**payload, "formats": formats}, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
 def config_hash(config: ExperimentConfig, keys) -> str:
-    payload = json.dumps(_config_subset(config, keys), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:12]
+    return _digest12(_config_subset(config, keys))
 
 
 def run_dir(config: ExperimentConfig, command: str) -> str:
@@ -190,17 +199,24 @@ def _sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(directory, command, config, keys, inputs, stats):
-    manifest = {
+def _digests(paths) -> dict:
+    return {os.path.basename(p): _sha256_file(p) for p in paths}
+
+
+def _write_json(path, obj, indent=2):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=indent, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_manifest(directory, command, config, keys, inputs: dict, stats):
+    _write_json(os.path.join(directory, "manifest.json"), {
         "command": command,
         "config": _config_subset(config, keys),
         "config_hash": config_hash(config, keys),
-        "inputs": {os.path.basename(p): _sha256_file(p) for p in inputs},
+        "inputs": inputs,
         "stats": stats,
-    }
-    with open(os.path.join(directory, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 class _RunDir:
@@ -319,7 +335,7 @@ def cmd_preprocess(config: ExperimentConfig, args) -> int:
             tag_matrix.save(os.path.join(tmp, "tags.bin"))
             stats["n_tags"] = tag_matrix.n_tags
 
-        _write_manifest(tmp, "preprocess", config, _PREPROCESS_KEYS, inputs, stats)
+        _write_manifest(tmp, "preprocess", config, _PREPROCESS_KEYS, _digests(inputs), stats)
     print(f"preprocess cache: {final}")
     for key, value in sorted(stats.items()):
         print(f"  {key}: {value}")
@@ -331,42 +347,85 @@ def _cached(config: ExperimentConfig, name: str) -> str:
     return _require(os.path.join(run_dir(config, "preprocess"), name), "preprocess")
 
 
-def _pretrain_latent(matrix, widths, seed, config, tmp, name):
-    """Pretrain one autoencoder, checkpoint it, and return its latent rows."""
-    model = ae_mod.AttentiveAutoencoder(matrix.matrix.shape[1], list(widths), seed=seed)
-    losses = ae_mod.pretrain(model, matrix, epochs=config.epochs,
-                             batch_size=config.batch_size, seed=seed)
-    ae_mod.save_autoencoder(model, os.path.join(tmp, f"{name}_ae.bin"))
-    with open(os.path.join(tmp, f"{name}_ae_loss.json"), "w") as fh:
-        json.dump(losses, fh)
-        fh.write("\n")
-    logger.info("%s autoencoder: %d epochs, final loss %s", name, len(losses),
-                losses[-1] if losses else "n/a")
-    return model.encode(matrix)
+_AE_STAGE_FORMAT = 1  # bump when the layout of an ae-* directory changes
+
+
+def _ae_stage(config: ExperimentConfig, name: str, path: str, load, digest: str) -> str:
+    """The directory of the pretrained ``name`` autoencoder, published on a miss.
+    Its key is what reaches the autoencoder: the digest of its input cache
+    (not the data directory), widths, epochs, batch size and seed. Factorization
+    settings and splits never do, so a sweep over them pretrains once."""
+    settings = {"stage": f"ae-{name}", "format": _AE_STAGE_FORMAT,
+                "input": {os.path.basename(path): digest},
+                "widths": list(getattr(config, f"{name}_widths")),
+                "epochs": config.epochs, "batch_size": config.batch_size,
+                "seed": config.seeds()[f"{name}_ae"]}
+    final = os.path.join(config.out_dir, f"ae-{name}-{_digest12(settings)}")
+    if os.path.isdir(final):
+        logger.info("stage hit: %s", os.path.basename(final))
+        _verify_stage(final)
+        return final
+    logger.info("stage miss: %s; pretraining", os.path.basename(final))
+    matrix = load(path)
+    with _RunDir(final) as tmp:
+        seed = settings["seed"]
+        model = ae_mod.AttentiveAutoencoder(matrix.matrix.shape[1], settings["widths"], seed=seed)
+        losses = ae_mod.pretrain(model, matrix, epochs=config.epochs,
+                                 batch_size=config.batch_size, seed=seed)
+        logger.info("%s autoencoder: %d epochs, final loss %s", name, len(losses),
+                    losses[-1] if losses else "n/a")
+        files = [os.path.join(tmp, n)
+                 for n in (f"{name}_ae.bin", f"{name}_ae_loss.json", "latent.bin")]
+        ae_mod.save_autoencoder(model, files[0])
+        _write_json(files[1], losses, indent=None)
+        ae_mod.save_latent(files[2], model.encode(matrix))
+        _write_json(os.path.join(tmp, "manifest.json"),
+                    {"settings": settings, "files": _digests(files)})
+    return final
+
+
+def _verify_stage(stage: str):
+    """Refuse a published stage whose files differ from its manifest's digests."""
+    path = os.path.join(stage, "manifest.json")
+    try:
+        with open(path) as fh:
+            files = json.load(fh)["files"]
+        bad = [n for n, digest in files.items()
+               if _sha256_file(os.path.join(stage, n)) != digest]
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise DataError(f"{path}: unreadable stage manifest: {exc}") from None
+    if bad:
+        raise DataError(f"{os.path.join(stage, bad[0])}: contents differ from the "
+                        f"digest in {path}; delete {stage} to pretrain again")
 
 
 def cmd_train(config: ExperimentConfig, args) -> int:
     interactions = InteractionMatrix.load(_cached(config, "interactions.bin"))
-    content = ContentMatrix.load(_cached(config, "content.bin")) if config.needs_text else None
-    tags = TagMatrix.load(_cached(config, "tags.bin")) if config.needs_tags else None
-    seeds = config.seeds()
+    cache = run_dir(config, "preprocess")
+    # Hashed once: these digests key the autoencoder stages and fill the manifest.
+    inputs = _digests(os.path.join(cache, n) for n in os.listdir(cache) if n.endswith(".bin"))
+    stages, latents = {}, {}
+    for name, needed, cls, cache_name in (
+            ("text", config.needs_text, ContentMatrix, "content.bin"),
+            ("tag", config.needs_tags, TagMatrix, "tags.bin")):
+        if needed:
+            stages[name] = _ae_stage(config, name, _cached(config, cache_name),
+                                     cls.load, inputs[cache_name])
+            latents[name] = ae_mod.load_latent(os.path.join(stages[name], "latent.bin"))
     final = run_dir(config, "train")
     with _RunDir(final) as tmp:
-        text_latent = tag_latent = None
-        if config.needs_text:
-            text_latent = _pretrain_latent(content, config.text_widths,
-                                           seeds["text_ae"], config, tmp, "text")
-        if config.needs_tags:
-            tag_latent = _pretrain_latent(tags, config.tag_widths,
-                                          seeds["tag_ae"], config, tmp, "tag")
+        for name, stage in stages.items():
+            for file in (f"{name}_ae.bin", f"{name}_ae_loss.json"):
+                shutil.copyfile(os.path.join(stage, file), os.path.join(tmp, file))
 
-        stats = {"variant": config.variant}
+        stats = {"variant": config.variant,
+                 "stages": {name: os.path.basename(s) for name, s in stages.items()}}
         if config.variant == "pop":
             # Popularity needs no factors; the manifest still records the run.
             stats["note"] = "popularity baseline has no trainable parameters"
         else:
             prior = cf.make_prior(config.variant, interactions.n_articles, config.d,
-                                  text_latent, tag_latent)
+                                  latents.get("text"), latents.get("tag"))
             traces = {}
             for index in config.splits:
                 r_train, _ = _split(config, interactions, index)
@@ -374,7 +433,7 @@ def cmd_train(config: ExperimentConfig, args) -> int:
                                       config.d, lambda_u=config.lambda_u,
                                       lambda_v=config.lambda_v, a=config.a,
                                       b=config.b, variant=config.variant,
-                                      seed=seeds["factors"])
+                                      seed=config.seeds()["factors"])
                 trace = cf.train_als(r_train, model, prior,
                                      max_sweeps=config.max_sweeps, tol=config.tol)
                 cf.save_factors(os.path.join(tmp, f"factors-split{index}.bin"),
@@ -382,15 +441,10 @@ def cmd_train(config: ExperimentConfig, args) -> int:
                 traces[str(index)] = trace
                 logger.info("split %d: %d sweeps, objective %.6f -> %.6f",
                             index, len(trace) - 1, trace[0], trace[-1])
-            with open(os.path.join(tmp, "objective_trace.json"), "w") as fh:
-                json.dump(traces, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_json(os.path.join(tmp, "objective_trace.json"), traces)
             stats["sweeps"] = {k: len(v) - 1 for k, v in traces.items()}
 
-        cache = run_dir(config, "preprocess")
-        cache_files = [os.path.join(cache, n) for n in os.listdir(cache)
-                       if n.endswith(".bin")]
-        _write_manifest(tmp, "train", config, _TRAIN_KEYS, cache_files, stats)
+        _write_manifest(tmp, "train", config, _TRAIN_KEYS, inputs, stats)
     print(f"train outputs: {final}")
     return 0
 
@@ -444,7 +498,7 @@ def cmd_evaluate(config: ExperimentConfig, args) -> int:
         evaluation.reports_to_json(reports, os.path.join(tmp, "reports.json"))
         if compare_reports is not None:
             _write_improvement(tmp, reports, compare_reports, args.compare)
-        _write_manifest(tmp, "evaluate", config, _EVALUATE_KEYS, [],
+        _write_manifest(tmp, "evaluate", config, _EVALUATE_KEYS, {},
                         {"n_reports": len(reports)})
     print(f"evaluation reports: {final}")
     for rep in reports:
@@ -471,9 +525,7 @@ def _write_improvement(tmp, ours: list, base: list, base_name: str):
             "ndcg_improvement_pct": evaluation.improvement_pct(
                 ours_avg[k].ndcg, base_avg[k].ndcg),
         })
-    with open(os.path.join(tmp, "improvement.json"), "w") as fh:
-        json.dump(rows, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(tmp, "improvement.json"), rows)
     with open(os.path.join(tmp, "improvement.csv"), "w") as fh:
         fh.write("k,baseline,recall_improvement_pct,ndcg_improvement_pct\n")
         for row in rows:
@@ -600,18 +652,9 @@ def main(argv=None) -> int:
                    "train": cmd_train, "evaluate": cmd_evaluate,
                    "recommend": cmd_recommend}[args.command]
         return handler(config, args)
-    except ConfigError as exc:
+    except Error as exc:  # ConfigError and any other Error exit 1
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, DataError) else 3 if isinstance(exc, NumericalError) else 1
 
 
 def entry():

@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import os
 from pathlib import Path
 
@@ -166,6 +167,13 @@ def test_config_file_unknown_key_rejected(tmp_path):
     assert rc == 1
 
 
+def test_config_file_value_of_the_wrong_type_exits_1(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"lambda_u": "x"}))
+    assert cli.main(["train", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_config_validation_errors():
     with pytest.raises(cli.ConfigError):
         cli.load_config(None, {"variant": "cata", "text_widths": "8,4", "d": 6})
@@ -306,3 +314,165 @@ def test_train_derives_only_the_configured_splits(workspace, monkeypatch):
                         lambda *a: calls.append(1) or make_split(*a))
     assert cli.main(_args("train", data, runs, *extra)) == 0
     assert len(calls) == 1
+
+
+def test_recommend_with_nan_factors_exits_2(workspace, capsys):
+    data, runs = workspace
+    extra = ("--variant", "wrmf")
+    assert cli.main(_args("preprocess", data, runs, *extra)) == 0
+    assert cli.main(_args("train", data, runs, *extra)) == 0
+    path = _single_run_dir(runs, "train-") / "factors-split1.bin"
+    tensors, meta = storage.read_tensors(path)
+    tensors["U"][0, 0] = float("nan")
+    storage.write_tensors(path, tensors, meta)
+    capsys.readouterr()
+    assert cli.main(_args("recommend", data, runs, *extra, "3")) == 2
+    err = capsys.readouterr().err
+    assert "factors-split1.bin" in err
+    assert "Traceback" not in err
+
+
+def test_cache_format_bump_makes_old_directories_stale(workspace, monkeypatch):
+    data, runs = workspace
+    assert cli.main(_args("preprocess", data, runs)) == 0
+    old = _single_run_dir(runs, "preprocess-")
+    monkeypatch.setitem(storage._VERSIONS, storage.MAGIC_CONTENT,
+                        storage._VERSIONS[storage.MAGIC_CONTENT] + 1)
+    assert cli.main(_args("preprocess", data, runs)) == 0
+    fresh = [d for d in os.listdir(runs) if d.startswith("preprocess-")]
+    assert len(fresh) == 2 and old.name in fresh
+    assert cli.main(_args("train", data, runs)) == 0
+
+
+@pytest.fixture(scope="module")
+def preprocessed(tmp_path_factory):
+    root = tmp_path_factory.mktemp("preprocessed")
+    data, runs = root / "data", root / "runs"
+    assert cli.main(["synth", "--data-dir", str(data), "--seed", "3",
+                     "--n-users", "40", "--n-articles", "60", "--n-clusters", "4",
+                     "--min-library", "4", "--max-library", "8",
+                     "--doc-length", "30"]) == 0
+    assert cli.main(_args("preprocess", data, runs)) == 0
+    return data, runs
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--lambda-u", "nan", "lambda_u"),
+    ("--lambda-u", "-1", "lambda_u"),
+    ("--lambda-v", "inf", "lambda_v"),
+    ("--lambda-v", "-0.5", "lambda_v"),
+    ("--a", "nan", "a=nan"),
+    ("--a", "0.01", "a=0.01"),
+    ("--b", "inf", "b=inf"),
+    ("--b", "0", "b=0"),
+    ("--seed", "-1", "seed"),
+    ("--min-articles-per-tag", "-1", "min_articles_per_tag"),
+])
+def test_bad_hyperparameters_exit_1_before_pretraining(preprocessed, capsys, flag, value,
+                                                       field):
+    data, runs = preprocessed
+    capsys.readouterr()
+    assert cli.main(_args("train", data, runs, f"{flag}={value}")) == 1
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+    assert not [d for d in os.listdir(runs) if d.startswith("ae-")]
+
+
+def _tree(directory) -> dict:
+    return {str(p.relative_to(directory)): p.read_bytes()
+            for p in sorted(Path(directory).rglob("*")) if p.is_file()}
+
+
+def _stages(runs) -> set:
+    return {d for d in os.listdir(runs) if d.startswith("ae-")}
+
+
+def test_sweep_pretrains_once_and_matches_a_cold_run(workspace, monkeypatch, tmp_path,
+                                                     capsys, caplog):
+    data, runs = workspace
+    calls = []
+    pretrain = cli.ae_mod.pretrain
+    monkeypatch.setattr(cli.ae_mod, "pretrain",
+                        lambda *a, **k: calls.append(1) or pretrain(*a, **k))
+    caplog.set_level(logging.INFO, logger=cli.logger.name)
+    assert cli.main(_args("preprocess", data, runs)) == 0
+    for lam in ("0.1", "1", "10"):
+        assert cli.main(_args("train", data, runs, "--lambda-v", lam)) == 0
+    assert len(calls) == 2
+    stages = _stages(runs)
+    assert len(stages) == 2
+    logged = [r.getMessage() for r in caplog.records]
+    for stage in stages:
+        assert sum(m.startswith(f"stage miss: {stage}") for m in logged) == 1
+        assert sum(m == f"stage hit: {stage}" for m in logged) == 2
+    warm = Path(capsys.readouterr().out.splitlines()[-1].split(": ", 1)[1])
+
+    cold = tmp_path / "cold"
+    assert cli.main(_args("preprocess", data, cold)) == 0
+    assert cli.main(_args("train", data, cold, "--lambda-v", "10")) == 0
+    assert len(calls) == 4
+    assert _tree(warm) == _tree(_single_run_dir(cold, "train-"))
+    assert _stages(cold) == stages
+
+
+def test_stage_keys_follow_autoencoder_inputs_only(workspace):
+    data, runs = workspace
+    assert cli.main(_args("preprocess", data, runs)) == 0
+    assert cli.main(_args("train", data, runs)) == 0
+    base = _stages(runs)
+    assert {d.split("-")[1] for d in base} == {"text", "tag"}
+    # factorization settings reuse both stages
+    for extra in (("--lambda-u", "1"), ("--a", "2", "--b", "0.1"), ("--p", "2"),
+                  ("--splits", "0")):
+        assert cli.main(_args("train", data, runs, *extra)) == 0
+        assert _stages(runs) == base
+    seen = set(base)
+    for extra, renewed in ((("--epochs", "4"), 2), (("--text-widths", "20,6"), 1),
+                           (("--seed", "4"), 2)):
+        assert cli.main(_args("train", data, runs, *extra)) == 0
+        assert len(_stages(runs) - seen) == renewed, extra
+        seen = _stages(runs)
+    # new contents under the same data directory re-key both stages
+    assert cli.main(["synth", "--data-dir", str(data), "--seed", "4",
+                     "--n-users", "40", "--n-articles", "60", "--n-clusters", "4",
+                     "--min-library", "4", "--max-library", "8",
+                     "--doc-length", "30"]) == 0
+    assert cli.main(_args("preprocess", data, runs)) == 0
+    assert cli.main(_args("train", data, runs)) == 0
+    assert len(_stages(runs) - seen) == 2
+
+
+def test_wrmf_and_pop_create_no_stage(workspace):
+    data, runs = workspace
+    for variant in ("wrmf", "pop"):
+        assert cli.main(_args("preprocess", data, runs, "--variant", variant)) == 0
+        assert cli.main(_args("train", data, runs, "--variant", variant)) == 0
+    assert not _stages(runs)
+
+
+@pytest.mark.parametrize("variant, prefix", [("cata", "ae-text-"),
+                                             ("cata-tags", "ae-tag-")])
+def test_variant_creates_only_its_stage(workspace, variant, prefix):
+    data, runs = workspace
+    assert cli.main(_args("preprocess", data, runs, "--variant", variant)) == 0
+    assert cli.main(_args("train", data, runs, "--variant", variant)) == 0
+    stages = _stages(runs)
+    assert len(stages) == 1 and stages.pop().startswith(prefix)
+
+
+@pytest.mark.parametrize("damage", ["truncate", "flip"])
+def test_damaged_cached_latent_exits_2(workspace, capsys, damage):
+    data, runs = workspace
+    assert cli.main(_args("preprocess", data, runs)) == 0
+    assert cli.main(_args("train", data, runs)) == 0
+    path = _single_run_dir(runs, "ae-text-") / "latent.bin"
+    raw = bytearray(path.read_bytes())
+    if damage == "truncate":
+        del raw[-8:]
+    else:
+        raw[-3] ^= 0x10
+    path.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert cli.main(_args("train", data, runs, "--lambda-v", "1")) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
