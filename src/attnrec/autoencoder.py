@@ -4,7 +4,9 @@ Architecture: a stack of dense+batchnorm+ReLU encoder blocks with strictly
 decreasing widths, a softmax self-gating bottleneck, a mirrored decoder
 stack, and a sigmoid output layer back to the input width. Two instances
 (one over text bag-of-words, one over tag/citation rows) are trained
-independently with the same code.
+independently with the same code. They train in float32 on one flat
+parameter buffer, the precision checkpoints store, and ``encode`` evaluates
+those parameters in float64, so a reloaded model encodes exactly the same.
 """
 
 from __future__ import annotations
@@ -27,15 +29,15 @@ from .nn import (
     attention_bottleneck,
     bce_grad,
     bce_loss,
+    flatten,
 )
 
 logger = logging.getLogger(__name__)
 
 ENCODE_CHUNK = 512
 
-# Checkpoint naming: each layer type's name prefix and saved attributes.
-_SLOT_ATTRS = {Dense: ("dense", ("w", "b")),
-               BatchNorm: ("bn", ("gamma", "beta", "running_mean", "running_var"))}
+# Checkpoint naming: each layer type's tensor name prefix.
+_PREFIX = {Dense: "dense", BatchNorm: "bn"}
 
 
 class AttentiveAutoencoder:
@@ -68,6 +70,7 @@ class AttentiveAutoencoder:
 
         self._encoder = Sequential(encoder)
         self.net = Sequential(encoder + [Attention()] + decoder)
+        self.params, self.grads = flatten(self.net.layers)
 
     @property
     def latent_dim(self) -> int:
@@ -78,14 +81,15 @@ class AttentiveAutoencoder:
         return self.net.forward(_as_dense(x), training=training)
 
     def encoder_output(self, rows) -> np.ndarray:
-        """Encoder stack output before the attention gate (evaluation mode)."""
-        dense_rows = _as_dense(rows)
-        if dense_rows.shape[1] != self.input_dim:
-            raise ValueError(
-                f"expected rows of width {self.input_dim}, got {dense_rows.shape[1]}"
-            )
-        chunks = [self._encoder.forward(dense_rows[start:start + ENCODE_CHUNK], training=False)
-                  for start in range(0, dense_rows.shape[0], ENCODE_CHUNK)]
+        """Encoder stack output before the attention gate (evaluation mode),
+        densified and computed in float64 one chunk of rows at a time."""
+        rows = rows.matrix if hasattr(rows, "matrix") else rows
+        rows = rows if sparse.issparse(rows) else np.asarray(rows)
+        if rows.shape[1] != self.input_dim:
+            raise ValueError(f"expected rows of width {self.input_dim}, got {rows.shape[1]}")
+        chunks = [self._encoder.forward(_as_dense(rows[start:start + ENCODE_CHUNK]),
+                                        training=False)
+                  for start in range(0, rows.shape[0], ENCODE_CHUNK)]
         return np.concatenate(chunks) if chunks else np.zeros((0, self.latent_dim))
 
     def encode(self, rows) -> np.ndarray:
@@ -96,10 +100,10 @@ class AttentiveAutoencoder:
         """(name, array) for every checkpointed tensor, in layer order."""
         counts = {}
         for layer in self.net.layers:
-            if type(layer) in _SLOT_ATTRS:
-                prefix, attrs = _SLOT_ATTRS[type(layer)]
+            if type(layer) in _PREFIX:
+                prefix = _PREFIX[type(layer)]
                 index = counts[prefix] = counts.get(prefix, -1) + 1
-                for attr in attrs:
+                for attr in layer.trained + layer.state:
                     yield f"{prefix}{index}/{attr}", getattr(layer, attr)
 
     def named_tensors(self) -> dict:
@@ -119,7 +123,7 @@ def _as_dense(rows) -> np.ndarray:
     if hasattr(rows, "matrix"):  # ContentMatrix / TagMatrix
         rows = rows.matrix
     if sparse.issparse(rows):
-        return np.asarray(rows.todense(), dtype=np.float64)
+        rows = rows.toarray()
     return np.asarray(rows, dtype=np.float64)
 
 
@@ -136,11 +140,12 @@ def pretrain(ae: AttentiveAutoencoder, data, epochs: int = 200, batch_size: int 
              seed: int = 0, learning_rate: float = 1e-3) -> list:
     """Train the autoencoder to reconstruct its input rows under BCE.
 
-    Returns the per-epoch mean reconstruction loss. Deterministic for a
-    fixed seed; epochs=0 leaves the model untouched and returns [].
+    Computes in float32 and shuffles the rows once per epoch. Returns the
+    per-epoch mean reconstruction loss. Deterministic for a fixed seed;
+    epochs=0 leaves the model untouched and returns [].
     """
-    if hasattr(data, "matrix"):
-        data = data.matrix
+    data = sparse.csr_matrix(data.matrix if hasattr(data, "matrix") else data,
+                             dtype=np.float32)
     n = data.shape[0]
     if data.shape[1] != ae.input_dim:
         raise ValueError(f"data width {data.shape[1]} != input_dim {ae.input_dim}")
@@ -150,24 +155,21 @@ def pretrain(ae: AttentiveAutoencoder, data, epochs: int = 200, batch_size: int 
         raise ValueError("pretraining needs at least 2 rows")
 
     rng = np.random.default_rng(seed)
-    optimizer = Adam(ae.net.parameters(), lr=learning_rate)
-    is_sparse = sparse.issparse(data)
+    optimizer = Adam([ae.params], lr=learning_rate)
     history = []
     for epoch in range(epochs):
-        perm = rng.permutation(n)
+        shuffled = data[rng.permutation(n)]
         total = 0.0
         for batch_i, (lo, hi) in enumerate(_batch_slices(n, batch_size)):
-            batch = data[perm[lo:hi]]
-            x = np.asarray(batch.todense(), dtype=np.float64) if is_sparse else \
-                np.asarray(batch, dtype=np.float64)
+            x = shuffled[lo:hi].toarray()
             out = ae.net.forward(x, training=True)
             loss = bce_loss(out, x)
             if not np.isfinite(loss):
                 raise NumericalError(
                     f"non-finite reconstruction loss at epoch {epoch}, batch {batch_i}"
                 )
-            ae.net.backward(bce_grad(out, x))
-            optimizer.step(ae.net.gradients())
+            ae.net.backward(bce_grad(out, x), input_grad=False)
+            optimizer.step([ae.grads])
             total += loss * x.shape[0]
         history.append(total / n)
         if epoch % 50 == 0 or epoch == epochs - 1:

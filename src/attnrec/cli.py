@@ -117,8 +117,6 @@ class ExperimentConfig:
         return {name: int(s) for name, s in zip(names, state)}
 
 
-_LIST_FIELDS = {"text_widths", "tag_widths", "ks", "splits"}
-
 # Settings that influence each command's artifacts; the hash of this subset
 # names the run directory, so unrelated flag changes reuse existing caches.
 _PREPROCESS_KEYS = ("data_dir", "vocab_size", "min_articles_per_tag",
@@ -149,20 +147,27 @@ def load_config(path, overrides: dict) -> ExperimentConfig:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         values.update(loaded)
     values.update({k: v for k, v in overrides.items() if v is not None})
-    for key in _LIST_FIELDS & set(values):
-        seq = values[key]
-        if isinstance(seq, str):
-            seq = [part for part in seq.replace(",", " ").split() if part]
-        try:
-            values[key] = tuple(int(x) for x in seq)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{key} must be a list of integers") from exc
-    try:
-        config = ExperimentConfig(**values)
-        config.validate()
-    except TypeError as exc:  # also a config-file value of the wrong type
-        raise ConfigError(str(exc)) from exc
+    config = ExperimentConfig(**{f.name: _typed(f.name, values[f.name], type(f.default))
+                                 for f in fields(ExperimentConfig) if f.name in values})
+    config.validate()
     return config
+
+
+def _typed(name: str, value, kind: type):
+    """``value`` checked against ``kind``, the type of the setting's default:
+    ints refuse floats and bools, floats take ints, and lists (a sequence or
+    a comma- or space-separated string) hold ints."""
+    if kind is tuple:
+        items = value.replace(",", " ").split() if isinstance(value, str) else value
+        try:
+            return tuple(_typed(name, int(x) if isinstance(x, str) else x, int) for x in items)
+        except (TypeError, ValueError, ConfigError):
+            raise ConfigError(f"{name} must be a list of integers, got {value!r}") from None
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is not kind:
+        raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
+    return value
 
 
 def _config_subset(config: ExperimentConfig, keys) -> dict:
@@ -347,7 +352,7 @@ def _cached(config: ExperimentConfig, name: str) -> str:
     return _require(os.path.join(run_dir(config, "preprocess"), name), "preprocess")
 
 
-_AE_STAGE_FORMAT = 1  # bump when the layout of an ae-* directory changes
+_AE_STAGE_FORMAT = 2  # bump when an ae-* directory's layout or training arithmetic changes
 
 
 def _ae_stage(config: ExperimentConfig, name: str, path: str, load, digest: str) -> str:

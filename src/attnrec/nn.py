@@ -4,10 +4,14 @@ Covers exactly what the attentive autoencoder needs: dense layers, batch
 normalization, ReLU/sigmoid, the softmax self-gating bottleneck, binary
 cross-entropy, and an adaptive-moment optimizer. Every layer caches its
 forward pass so a backward call can replay it; gradients are verifiable
-against central finite differences.
+against central finite differences. Layers compute in the dtype of their
+parameters and write gradients in place, so after ``flatten`` one ``Adam``
+over one flat buffer steps a whole network.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -20,24 +24,15 @@ BN_MOMENTUM = 0.99
 
 def softmax(z: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max-subtraction for stability."""
-    z = np.asarray(z, dtype=np.float64)
     shifted = z - z.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(0.0, x)
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # evaluate on the negative half-line only, to avoid overflow in exp
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp of a nonpositive argument only, so it cannot overflow
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def attention_bottleneck(x: np.ndarray) -> np.ndarray:
@@ -70,11 +65,31 @@ def glorot_uniform(in_dim: int, out_dim: int, rng: np.random.Generator) -> np.nd
     return rng.uniform(-limit, limit, size=(in_dim, out_dim))
 
 
-class Layer:
-    """Common layer surface: forward caches what backward needs."""
+def flatten(layers):
+    """Rebind the trained tensors of ``layers`` as views into one flat
+    float32 buffer and their gradients as views into another, and cast the
+    layers' other state to float32. Returns (params, grads)."""
+    slots = [(layer, name) for layer in layers for name in layer.trained]
+    bounds = np.cumsum([0] + [getattr(layer, name).size for layer, name in slots])
+    params, grads = np.empty(bounds[-1], np.float32), np.zeros(bounds[-1], np.float32)
+    for (layer, name), lo, hi in zip(slots, bounds, bounds[1:]):
+        shape = getattr(layer, name).shape
+        params[lo:hi] = getattr(layer, name).ravel()
+        setattr(layer, name, params[lo:hi].reshape(shape))
+        setattr(layer, "d" + name, grads[lo:hi].reshape(shape))
+    for layer in layers:
+        for name in layer.state:
+            setattr(layer, name, getattr(layer, name).astype(np.float32))
+    return params, grads
 
-    params = ()
-    grads = ()
+
+class Layer:
+    """Common layer surface: forward caches what backward needs. ``trained``
+    names the tensors an optimizer updates, each with gradient ``"d" + name``;
+    ``state`` names the other tensors a checkpoint keeps."""
+
+    trained = ()
+    state = ()
 
     def forward(self, x, training):
         raise NotImplementedError
@@ -88,20 +103,14 @@ class Layer:
 
 
 class Dense(Layer):
+    trained = ("w", "b")
+
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         self.w = glorot_uniform(in_dim, out_dim, rng)
         self.b = np.zeros(out_dim)
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b)
         self._x = None
-
-    @property
-    def params(self):
-        return (self.w, self.b)
-
-    @property
-    def grads(self):
-        return (self.dw, self.db)
 
     def forward(self, x, training=True):
         if x.shape[-1] != self.w.shape[0]:
@@ -111,11 +120,12 @@ class Dense(Layer):
         self._x = x
         return x @ self.w + self.b
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad=True):
+        """Fill dw and db; return dx, or None when ``input_grad`` is false."""
         self._require_cache(self._x)
-        self.dw = self._x.T @ dout
-        self.db = dout.sum(axis=0)
-        return dout @ self.w.T
+        np.matmul(self._x.T, dout, out=self.dw)
+        np.sum(dout, axis=0, out=self.db)
+        return dout @ self.w.T if input_grad else None
 
 
 class BatchNorm(Layer):
@@ -125,6 +135,9 @@ class BatchNorm(Layer):
     batch statistics into the running estimates; evaluation mode uses the
     running estimates. Running statistics start at mean 0, variance 1.
     """
+
+    trained = ("gamma", "beta")
+    state = ("running_mean", "running_var")
 
     def __init__(self, dim: int, eps: float = BN_EPS, momentum: float = BN_MOMENTUM):
         if eps <= 0:
@@ -141,14 +154,6 @@ class BatchNorm(Layer):
         self.dbeta = np.zeros_like(self.beta)
         self._cache = None
 
-    @property
-    def params(self):
-        return (self.gamma, self.beta)
-
-    @property
-    def grads(self):
-        return (self.dgamma, self.dbeta)
-
     def forward(self, x, training=True):
         if training:
             if x.shape[0] < 2:
@@ -157,8 +162,9 @@ class BatchNorm(Layer):
             var = x.var(axis=0)
             inv_std = 1.0 / np.sqrt(var + self.eps)
             xhat = (x - mean) * inv_std
-            self.running_mean = self.momentum * self.running_mean + (1.0 - self.momentum) * mean
-            self.running_var = self.momentum * self.running_var + (1.0 - self.momentum) * var
+            for running, batch in ((self.running_mean, mean), (self.running_var, var)):
+                running *= self.momentum  # in place, so the state keeps its dtype
+                running += (1.0 - self.momentum) * batch
             self._cache = (xhat, inv_std)
         else:
             inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
@@ -170,8 +176,8 @@ class BatchNorm(Layer):
         self._require_cache(self._cache)
         xhat, inv_std = self._cache
         n = dout.shape[0]
-        self.dgamma = (dout * xhat).sum(axis=0)
-        self.dbeta = dout.sum(axis=0)
+        np.sum(dout * xhat, axis=0, out=self.dgamma)
+        np.sum(dout, axis=0, out=self.dbeta)
         dxhat = dout * self.gamma
         return (inv_std / n) * (
             n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
@@ -238,22 +244,19 @@ class Sequential:
         self._ran_forward = training
         return x
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad=True):
+        """Fill the layers' gradients; return dx, or None if not ``input_grad``."""
         if not self._ran_forward:
             raise RuntimeError("backward called before a training-mode forward pass")
-        for layer in reversed(self.layers):
+        first, *rest = self.layers
+        for layer in reversed(rest):
             dout = layer.backward(dout)
-        return dout
-
-    def parameters(self):
-        return [p for layer in self.layers for p in layer.params]
-
-    def gradients(self):
-        return [g for layer in self.layers for g in layer.grads]
+        return first.backward(dout) if input_grad else first.backward(dout, input_grad=False)
 
 
 class Adam:
-    """Adaptive-moment optimizer with bias correction; updates in place."""
+    """Adaptive-moment optimizer with bias correction; updates in place.
+    Kingma & Ba's efficient form folds the corrections into two scalars."""
 
     def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -265,6 +268,7 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p) for p in self.params]
         self.v = [np.zeros_like(p) for p in self.params]
+        self._tmp = [np.empty_like(p) for p in self.params]
 
     def step(self, grads):
         grads = list(grads)
@@ -272,15 +276,16 @@ class Adam:
             raise ValueError(
                 f"expected {len(self.params)} gradients, got {len(grads)}"
             )
-        for g in grads:
-            if not np.all(np.isfinite(g)):
-                raise NumericalError("non-finite gradient encountered; aborting training")
+        if not all(np.isfinite(g).all() for g in grads):
+            raise NumericalError("non-finite gradient encountered; aborting training")
         self.t += 1
-        correct1 = 1.0 - self.beta1 ** self.t
-        correct2 = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+        root2 = math.sqrt(1.0 - self.beta2 ** self.t)
+        step_size = self.lr * root2 / (1.0 - self.beta1 ** self.t)
+        eps = self.eps * root2
+        for p, g, m, v, tmp in zip(self.params, grads, self.m, self.v, self._tmp):
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, out=tmp)
             v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            p -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
+            v += np.multiply(np.square(g, out=tmp), 1.0 - self.beta2, out=tmp)
+            np.add(np.sqrt(v, out=tmp), eps, out=tmp)
+            p -= np.multiply(np.divide(m, tmp, out=tmp), step_size, out=tmp)

@@ -6,7 +6,7 @@ from attnrec import nn, storage
 from attnrec.autoencoder import (AttentiveAutoencoder, load_autoencoder,
                                  pretrain, save_autoencoder)
 from attnrec.corpus import ContentMatrix
-from attnrec.errors import ConfigError, DataError
+from attnrec.errors import ConfigError, DataError, NumericalError
 
 
 def _toy_content(n_rows=40, n_cols=30, seed=0):
@@ -158,3 +158,51 @@ def test_load_autoencoder_names_file_of_a_missing_tensor(tmp_path):
     storage.write_tensors(path, tensors, {"input_dim": 30, "widths": [8], "seed": 11})
     with pytest.raises(DataError, match=r"ae\.bin.*dense0/w"):
         load_autoencoder(path)
+
+
+def test_pretrain_is_bit_deterministic_in_float32():
+    data = _toy_content()
+    runs = []
+    for _ in range(2):
+        ae = AttentiveAutoencoder(30, [12, 6], seed=4)
+        runs.append((pretrain(ae, data, epochs=5, batch_size=16, seed=9), ae))
+    (losses1, ae1), (losses2, ae2) = runs
+    assert losses1 == losses2
+    assert ae1.params.dtype == np.float32
+    assert all(t.dtype == np.float32 for t in ae1.named_tensors().values())
+    assert np.array_equal(ae1.params, ae2.params)
+
+
+def test_reloaded_checkpoint_encodes_exactly_like_the_trained_model(tmp_path):
+    data = _toy_content()
+    ae = AttentiveAutoencoder(30, [12, 6], seed=7)
+    pretrain(ae, data, epochs=5, batch_size=16, seed=1)
+    save_autoencoder(ae, tmp_path / "ae.bin")
+    assert np.array_equal(load_autoencoder(tmp_path / "ae.bin").encode(data), ae.encode(data))
+
+
+def test_nan_gradient_in_the_flat_buffer_raises(monkeypatch):
+    import attnrec.autoencoder as mod
+    monkeypatch.setattr(mod, "bce_grad", lambda pred, target: np.full_like(pred, np.nan))
+    ae = AttentiveAutoencoder(30, [8], seed=12)
+    with pytest.raises(NumericalError):
+        pretrain(ae, _toy_content(), epochs=1, batch_size=16)
+
+
+def test_encode_densifies_one_chunk_at_a_time(monkeypatch):
+    import attnrec.autoencoder as mod
+    ae = AttentiveAutoencoder(30, [8], seed=13)
+    data = _toy_content(n_rows=50)
+    dense = data.matrix.toarray()
+    seen = []
+    densify = mod._as_dense
+    monkeypatch.setattr(mod, "ENCODE_CHUNK", 7)
+    monkeypatch.setattr(mod, "_as_dense", lambda rows: seen.append(rows.shape[0]) or densify(rows))
+    assert np.array_equal(ae.encode(data), ae.encode(dense))
+    assert seen and max(seen) <= 7
+
+
+def test_training_forward_on_float64_rows_keeps_float32_state():
+    ae = AttentiveAutoencoder(10, [4], seed=14)
+    ae.reconstruct(np.random.default_rng(0).uniform(size=(6, 10)), training=True)
+    assert all(t.dtype == np.float32 for t in ae.named_tensors().values())

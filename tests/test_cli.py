@@ -378,6 +378,34 @@ def test_bad_hyperparameters_exit_1_before_pretraining(preprocessed, capsys, fla
     assert not [d for d in os.listdir(runs) if d.startswith("ae-")]
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lambda_u", "x"),
+    ("lambda_v", True),
+    ("epochs", 1.5),
+    ("d", 6.0),
+    ("batch_size", True),
+    ("seed", "3"),
+    ("text_widths", [24, 6.5]),
+    ("ks", "5,x"),
+    ("splits", 1),
+    ("variant", 3),
+])
+def test_wrong_typed_config_value_exits_1_naming_it(preprocessed, tmp_path, capsys, field,
+                                                    value):
+    data, runs = preprocessed
+    flags = dict(zip(COMMON[::2], COMMON[1::2]))
+    flags.pop("--" + field.replace("_", "-"), None)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({field: value}))
+    capsys.readouterr()
+    argv = ["train", "--data-dir", str(data), "--out-dir", str(runs), "--config", str(path),
+            *[part for pair in flags.items() for part in pair]]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+    assert not [d for d in os.listdir(runs) if d.startswith("ae-")]
+
+
 def _tree(directory) -> dict:
     return {str(p.relative_to(directory)): p.read_bytes()
             for p in sorted(Path(directory).rglob("*")) if p.is_file()}

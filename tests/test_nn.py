@@ -218,3 +218,41 @@ def test_adam_updates_in_place():
     opt.step([np.ones(3)])
     assert ref is w
     assert np.all(w < 1.0)
+
+
+def test_adam_on_one_flat_buffer_equals_adam_per_tensor():
+    rng = np.random.default_rng(8)
+    shapes = [(3, 4), (4,), (2, 5)]
+    bounds = np.cumsum([int(np.prod(s)) for s in shapes])
+
+    def split(flat):
+        return [part.reshape(s) for part, s in zip(np.split(flat, bounds[:-1]), shapes)]
+
+    flat = rng.normal(size=bounds[-1]).astype(np.float32)
+    tensors = [t.copy() for t in split(flat)]
+    whole, parts = nn.Adam([flat], lr=1e-2), nn.Adam(tensors, lr=1e-2)
+    for _ in range(3):
+        g = rng.normal(size=flat.size).astype(np.float32)
+        whole.step([g])
+        parts.step(split(g))
+        assert np.array_equal(flat, np.concatenate([t.ravel() for t in tensors]))
+
+
+def test_flatten_makes_views_that_backward_and_adam_write_through():
+    rng = np.random.default_rng(9)
+    net = nn.Sequential([nn.Dense(4, 3, rng), nn.BatchNorm(3), nn.ReLU(), nn.Dense(3, 2, rng)])
+    w0 = net.layers[0].w.copy()
+    params, grads = nn.flatten(net.layers)
+    assert params.dtype == grads.dtype == np.float32 and params.size == 12 + 3 + 3 + 3 + 6 + 2
+    assert np.array_equal(net.layers[0].w, w0.astype(np.float32))
+    assert net.layers[1].running_var.dtype == np.float32
+    for layer in (net.layers[0], net.layers[1], net.layers[3]):
+        for name in layer.trained:
+            assert np.shares_memory(getattr(layer, name), params)
+            assert np.shares_memory(getattr(layer, "d" + name), grads)
+    net.forward(rng.normal(size=(5, 4)).astype(np.float32), training=True)
+    assert net.backward(np.ones((5, 2), np.float32), input_grad=False) is None
+    assert np.array_equal(grads[12:15], net.layers[0].db) and np.any(grads != 0)
+    before = net.layers[3].w.copy()
+    nn.Adam([params]).step([grads])
+    assert not np.array_equal(net.layers[3].w, before)
