@@ -1,13 +1,15 @@
 """Command-line pipeline: synth, preprocess, train, evaluate, recommend.
 
 Configuration comes from defaults, then an optional JSON config file, then
-individual flags, highest priority last. Every command writes its outputs
-under a directory named by a hash of the settings that influence it, next
-to a manifest recording input digests and derived statistics. Reruns with
-identical inputs and seeds produce byte-identical artifacts, so the run
-directories double as caches. Each autoencoder is a stage of its own
-(``ae-text-<hash>``, ``ae-tag-<hash>``) keyed by its input digests, so train
-calls that differ only in factorization settings share one pretraining.
+individual flags, highest priority last. Every cached directory is a stage,
+``<out_dir>/<kind>-<hash>``, named by one function (``_stage``) from a key
+of the settings that reach it plus the content of its inputs: the SHA-256
+of each raw file for ``preprocess``, of the input cache for ``ae-text`` and
+``ae-tag``, and parent stage names for ``train`` and ``evaluate``. No key
+holds a path, so changed data yields new names and a stale parent is a
+missing one, refused with exit 2. A stage found under its name is reused
+after its files are checked against the digests in its manifest; it is
+never rebuilt or replaced. Seeded runs produce byte-identical directories.
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 bad or missing
 data, 3 numerical failure during optimization.
@@ -24,7 +26,7 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -40,6 +42,8 @@ logger = logging.getLogger(__name__)
 
 DATA_DIR_ENV = "ATTNREC_DATA_DIR"
 ALL_VARIANTS = ("pop",) + cf.VARIANTS
+_CHOICES = {"variant": ALL_VARIANTS, "content_format": ("raw", "mult"),
+            "tags_format": ("plain", "counted"), "citations_format": ("pairs", "adjacency")}
 
 
 @dataclass
@@ -70,8 +74,9 @@ class ExperimentConfig:
     citations_format: str = "pairs"
 
     def validate(self):
-        if self.variant not in ALL_VARIANTS:
-            raise ConfigError(f"variant must be one of {ALL_VARIANTS}, got {self.variant!r}")
+        for name, choices in _CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
         for name in ("lambda_u", "lambda_v", "seed", "min_articles_per_tag", "epochs"):
             if not 0 <= getattr(self, name) < math.inf:  # also rejects NaN
                 raise ConfigError(f"{name} must be a finite number >= 0, "
@@ -89,44 +94,22 @@ class ExperimentConfig:
             raise ConfigError("ks must be a nonempty list of cutoffs >= 1")
         if self.n_splits < 1 or any(not 0 <= s < self.n_splits for s in self.splits):
             raise ConfigError("split indices must lie in [0, n_splits)")
-        if self.content_format not in ("raw", "mult"):
-            raise ConfigError("content_format must be 'raw' or 'mult'")
-        if self.tags_format not in ("plain", "counted"):
-            raise ConfigError("tags_format must be 'plain' or 'counted'")
-        if self.citations_format not in ("pairs", "adjacency"):
-            raise ConfigError("citations_format must be 'pairs' or 'adjacency'")
-        if self.needs_text and self.text_widths[-1] != self.d:
-            raise ConfigError(
-                f"text widths must end at d={self.d}, got {list(self.text_widths)}")
-        if self.needs_tags and self.tag_widths[-1] != self.d:
-            raise ConfigError(
-                f"tag widths must end at d={self.d}, got {list(self.tag_widths)}")
+        for name in self.autoencoders:
+            widths = list(getattr(self, f"{name}_widths"))
+            if widths[-1] != self.d:
+                raise ConfigError(f"{name} widths must end at d={self.d}, got {widths}")
 
     @property
-    def needs_text(self) -> bool:
-        return self.variant in ("cata", "cata++")
-
-    @property
-    def needs_tags(self) -> bool:
-        return self.variant in ("cata-tags", "cata++")
+    def autoencoders(self) -> tuple:
+        """The content autoencoders the variant pretrains, "text" and/or "tag"."""
+        return {"cata": ("text",), "cata-tags": ("tag",),
+                "cata++": ("text", "tag")}.get(self.variant, ())
 
     def seeds(self) -> dict:
         """Named per-stage seeds derived from the master seed."""
         state = np.random.SeedSequence(self.seed).generate_state(6)
         names = ("synth", "split", "text_ae", "tag_ae", "factors", "spare")
         return {name: int(s) for name, s in zip(names, state)}
-
-
-# Settings that influence each command's artifacts; the hash of this subset
-# names the run directory, so unrelated flag changes reuse existing caches.
-_PREPROCESS_KEYS = ("data_dir", "vocab_size", "min_articles_per_tag",
-                    "content_format", "tags_format", "citations_format",
-                    "needs_text", "needs_tags")
-_TRAIN_KEYS = _PREPROCESS_KEYS + ("variant", "p", "d", "lambda_u", "lambda_v",
-                                  "a", "b", "text_widths", "tag_widths",
-                                  "epochs", "batch_size", "seed", "n_splits",
-                                  "splits", "tol", "max_sweeps")
-_EVALUATE_KEYS = _TRAIN_KEYS + ("ks",)
 
 
 def load_config(path, overrides: dict) -> ExperimentConfig:
@@ -170,30 +153,17 @@ def _typed(name: str, value, kind: type):
     return value
 
 
-def _config_subset(config: ExperimentConfig, keys) -> dict:
-    subset = {}
-    for key in keys:
-        value = getattr(config, key)
-        subset[key] = list(value) if isinstance(value, tuple) else value
-    return subset
+_STAGE_FORMAT = 3  # bump when a stage directory's layout or the arithmetic behind it changes
 
 
 def _digest12(payload: dict) -> str:
-    """Directory hash of ``payload`` and the cache-format versions, so that a
-    format bump makes earlier directories stale rather than unreadable."""
+    """Directory hash of ``payload``, the stage format and the cache-format
+    versions, so that a format bump makes earlier directories stale rather
+    than unreadable."""
     formats = {magic.decode(): v for magic, v in storage._VERSIONS.items()}
+    formats["stage"] = _STAGE_FORMAT
     text = json.dumps({**payload, "formats": formats}, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:12]
-
-
-def config_hash(config: ExperimentConfig, keys) -> str:
-    return _digest12(_config_subset(config, keys))
-
-
-def run_dir(config: ExperimentConfig, command: str) -> str:
-    keys = {"preprocess": _PREPROCESS_KEYS, "train": _TRAIN_KEYS,
-            "evaluate": _EVALUATE_KEYS}[command]
-    return os.path.join(config.out_dir, f"{command}-{config_hash(config, keys)}")
 
 
 def _sha256_file(path) -> str:
@@ -214,23 +184,14 @@ def _write_json(path, obj, indent=2):
         fh.write("\n")
 
 
-def _write_manifest(directory, command, config, keys, inputs: dict, stats):
-    _write_json(os.path.join(directory, "manifest.json"), {
-        "command": command,
-        "config": _config_subset(config, keys),
-        "config_hash": config_hash(config, keys),
-        "inputs": inputs,
-        "stats": stats,
-    })
-
-
 class _RunDir:
     """Stage outputs in a private scratch directory next to the final one and
-    publish it on success, replacing an earlier run's directory.
+    publish it on success.
 
-    A failed command leaves no partial run directory behind. When a
-    concurrent run of the same settings publishes first, this run's staging
-    is discarded: seeded runs of one config write identical bytes.
+    A failed command leaves no partial run directory behind. A published
+    directory is never replaced: when a concurrent run of the same key
+    publishes first, the rename fails and this run's staging is discarded,
+    since runs of one key write identical bytes.
     """
 
     def __init__(self, final: str):
@@ -239,7 +200,6 @@ class _RunDir:
     def __enter__(self):
         parent = os.path.dirname(self.final) or "."
         os.makedirs(parent, exist_ok=True)
-        self.replaces = os.path.exists(self.final)
         self.tmp = tempfile.mkdtemp(prefix=os.path.basename(self.final) + ".",
                                     suffix=".partial", dir=parent)
         os.chmod(self.tmp, 0o755)  # mkdtemp makes it private to the owner
@@ -248,8 +208,6 @@ class _RunDir:
     def __exit__(self, exc_type, exc, tb):
         try:
             if exc_type is None:
-                if self.replaces:
-                    shutil.rmtree(self.final, ignore_errors=True)
                 try:
                     os.rename(self.tmp, self.final)
                 except OSError:
@@ -260,21 +218,117 @@ class _RunDir:
         return False
 
 
-def _require(path, hint: str):
-    if not os.path.exists(path):
-        raise DataError(f"missing {path}; run `attnrec {hint}` first")
-    return path
+def _stage(config: ExperimentConfig, kind: str, key: dict, build=None) -> str:
+    """The directory ``<out_dir>/<kind>-<hash of key>`` of one pipeline stage.
+
+    ``key`` holds the ``inputs`` (digests or stage names) and the settings
+    that reach the stage, never a path, so a stale parent is a missing one.
+    Without ``build`` the stage is a parent that must exist. With it, a hit
+    is verified against its manifest; a miss runs ``build(tmp)``, which
+    returns stats, and publishes the key, the stats and the file digests.
+    """
+    final = os.path.join(config.out_dir, f"{kind}-{_digest12(key)}")
+    if build is None:
+        if not os.path.isdir(final):
+            raise DataError(f"missing {final}; run `attnrec {kind}` first")
+        return final
+    if os.path.isdir(final):
+        logger.info("stage hit: %s", os.path.basename(final))
+        _verify_stage(final)
+        return final
+    logger.info("stage miss: %s", os.path.basename(final))
+    with _RunDir(final) as tmp:
+        stats = build(tmp)
+        files = _digests(os.path.join(tmp, n) for n in sorted(os.listdir(tmp)))
+        _write_json(os.path.join(tmp, "manifest.json"), {**key, "stats": stats, "files": files})
+    return final
+
+
+def _manifest(stage: str, field: str) -> dict:
+    """The ``stats`` or ``files`` object of a published stage's manifest."""
+    path = os.path.join(stage, "manifest.json")
+    try:
+        with open(path) as fh:
+            return dict(json.load(fh)[field])
+    except (OSError, ValueError, LookupError, TypeError) as exc:
+        raise DataError(f"{path}: unreadable stage manifest: {exc!r}") from None
+
+
+def _verify_stage(stage: str):
+    """Refuse a published stage whose files differ from its manifest's digests."""
+    for name, digest in _manifest(stage, "files").items():
+        path = os.path.join(stage, name)
+        if not os.path.isfile(path) or _sha256_file(path) != digest:
+            raise DataError(f"{path}: contents differ from the digest in "
+                            f"{stage}/manifest.json; delete {stage} to build it again")
+
+
+def _preprocess_key(config: ExperimentConfig) -> dict:
+    """The SHA-256 of each raw input file and the settings that shape the
+    caches; the data directory's path is not part of it."""
+    names = ["users.dat"]
+    if "text" in config.autoencoders:
+        names.append("mult.dat" if config.content_format == "mult" else "docs.txt")
+    if "tag" in config.autoencoders:
+        names += ["tags.dat", "citations.dat"]
+    paths = [os.path.join(config.data_dir, name) for name in names]
+    for path in paths:
+        if not os.path.isfile(path):
+            raise DataError(f"missing input file: {path}")
+    return {"inputs": _digests(paths),
+            **{name: getattr(config, name) for name in (
+                "vocab_size", "min_articles_per_tag", "content_format", "tags_format",
+                "citations_format", "autoencoders")}}
+
+
+_AE_CACHES = {"text": (ContentMatrix, "content.bin"), "tag": (TagMatrix, "tags.bin")}
+
+
+def _ae_key(config: ExperimentConfig, files: dict, name: str) -> dict:
+    """What reaches the ``name`` autoencoder: the digest of its input cache,
+    read from the preprocess manifest's ``files``, its widths, epochs, batch
+    size and seed. Factorization settings and splits never do, so a sweep
+    over them pretrains once."""
+    cache = _AE_CACHES[name][1]
+    return {"inputs": {cache: files.get(cache)},
+            "widths": getattr(config, f"{name}_widths"), "epochs": config.epochs,
+            "batch_size": config.batch_size, "seed": config.seeds()[f"{name}_ae"]}
+
+
+def _train_key(config: ExperimentConfig, pre: str) -> dict:
+    """The preprocess and autoencoder stage names and the factorization and
+    split settings; widths and epochs reach it only through the stage names."""
+    files = _manifest(pre, "files")
+    inputs = {"preprocess": os.path.basename(pre),
+              **{f"ae-{name}": f"ae-{name}-{_digest12(_ae_key(config, files, name))}"
+                 for name in config.autoencoders}}
+    return {"inputs": inputs,
+            **{name: getattr(config, name) for name in (
+                "variant", "p", "d", "lambda_u", "lambda_v", "a", "b", "seed",
+                "n_splits", "splits", "tol", "max_sweeps")}}
+
+
+def _trained(config: ExperimentConfig, pre: str) -> str:
+    """The train directory that evaluate and recommend score ``config.variant``
+    with, looked up as a parent; "pop" for the popularity baseline, which has
+    none."""
+    if config.variant == "pop":
+        return "pop"
+    return _stage(config, "train", _train_key(config, pre))
 
 
 # ---------------------------------------------------------------------------
 # Commands
 
 
+_SYNTH_FLAGS = ("n_users", "n_articles", "n_clusters", "min_library", "max_library",
+                "doc_length")
+
+
 def cmd_synth(config: ExperimentConfig, args) -> int:
     out = args.out or config.data_dir
     scfg = synth.SynthConfig(seed=config.seed)
-    for name in ("n_users", "n_articles", "n_clusters", "min_library",
-                 "max_library", "doc_length"):
+    for name in _SYNTH_FLAGS:
         value = getattr(args, name, None)
         if value is not None:
             setattr(scfg, name, value)
@@ -286,172 +340,110 @@ def cmd_synth(config: ExperimentConfig, args) -> int:
     return 0
 
 
-def _preprocess_inputs(config: ExperimentConfig) -> list:
-    paths = [os.path.join(config.data_dir, "users.dat")]
-    if config.needs_text:
-        name = "mult.dat" if config.content_format == "mult" else "docs.txt"
-        paths.append(os.path.join(config.data_dir, name))
-    if config.needs_tags:
-        paths.append(os.path.join(config.data_dir, "tags.dat"))
-        paths.append(os.path.join(config.data_dir, "citations.dat"))
-    return paths
-
-
 def cmd_preprocess(config: ExperimentConfig, args) -> int:
-    inputs = _preprocess_inputs(config)
-    for path in inputs:
-        if not os.path.exists(path):
-            raise DataError(f"missing input file: {path}")
-    final = run_dir(config, "preprocess")
-    stats = {}
-    with _RunDir(final) as tmp:
-        content = None
-        n_articles = None
-        if config.needs_text:
-            if config.content_format == "mult":
-                content = load_mult_content(inputs[1], vocab_size=config.vocab_size)
-                stats["vocab_size"] = content.vocab_size
-            else:
-                docs = read_raw_docs(inputs[1])
-                vocab = select_vocabulary(docs, load_stop_words(), config.vocab_size)
-                vocab.save(os.path.join(tmp, "vocab.tsv"))
-                content = build_bow(docs, vocab)
-                stats["vocab_size"] = len(vocab)
-            content.save(os.path.join(tmp, "content.bin"))
-            n_articles = content.n_articles
-
-        interactions = load_interactions(os.path.join(config.data_dir, "users.dat"),
-                                         n_articles=n_articles)
-        if n_articles is None:
-            n_articles = interactions.n_articles
-        interactions.save(os.path.join(tmp, "interactions.bin"))
-        stats.update(n_users=interactions.n_users, n_articles=n_articles,
-                     n_pairs=interactions.n_pairs)
-
-        if config.needs_tags:
-            assignments = load_tag_assignments(
-                os.path.join(config.data_dir, "tags.dat"),
-                counted=config.tags_format == "counted")
-            citations = load_citations(os.path.join(config.data_dir, "citations.dat"),
-                                       fmt=config.citations_format)
-            tag_matrix = build_tag_matrix(assignments, citations,
-                                          config.min_articles_per_tag,
-                                          n_articles=n_articles)
-            tag_matrix.save(os.path.join(tmp, "tags.bin"))
-            stats["n_tags"] = tag_matrix.n_tags
-
-        _write_manifest(tmp, "preprocess", config, _PREPROCESS_KEYS, _digests(inputs), stats)
+    final = _stage(config, "preprocess", _preprocess_key(config),
+                   lambda tmp: _preprocess(config, tmp))
     print(f"preprocess cache: {final}")
-    for key, value in sorted(stats.items()):
+    for key, value in sorted(_manifest(final, "stats").items()):
         print(f"  {key}: {value}")
     return 0
 
 
-def _cached(config: ExperimentConfig, name: str) -> str:
-    """Path of one file in the preprocess cache, which must exist."""
-    return _require(os.path.join(run_dir(config, "preprocess"), name), "preprocess")
+def _preprocess(config: ExperimentConfig, tmp: str) -> dict:
+    raw = config.data_dir
+    stats = {}
+    content = None
+    n_articles = None
+    if "text" in config.autoencoders:
+        if config.content_format == "mult":
+            content = load_mult_content(os.path.join(raw, "mult.dat"),
+                                        vocab_size=config.vocab_size)
+            stats["vocab_size"] = content.vocab_size
+        else:
+            docs = read_raw_docs(os.path.join(raw, "docs.txt"))
+            vocab = select_vocabulary(docs, load_stop_words(), config.vocab_size)
+            vocab.save(os.path.join(tmp, "vocab.tsv"))
+            content = build_bow(docs, vocab)
+            stats["vocab_size"] = len(vocab)
+        content.save(os.path.join(tmp, "content.bin"))
+        n_articles = content.n_articles
+
+    interactions = load_interactions(os.path.join(raw, "users.dat"), n_articles=n_articles)
+    if n_articles is None:
+        n_articles = interactions.n_articles
+    interactions.save(os.path.join(tmp, "interactions.bin"))
+    stats.update(n_users=interactions.n_users, n_articles=n_articles,
+                 n_pairs=interactions.n_pairs)
+
+    if "tag" in config.autoencoders:
+        assignments = load_tag_assignments(os.path.join(raw, "tags.dat"),
+                                           counted=config.tags_format == "counted")
+        citations = load_citations(os.path.join(raw, "citations.dat"),
+                                   fmt=config.citations_format)
+        tag_matrix = build_tag_matrix(assignments, citations,
+                                      config.min_articles_per_tag,
+                                      n_articles=n_articles)
+        tag_matrix.save(os.path.join(tmp, "tags.bin"))
+        stats["n_tags"] = tag_matrix.n_tags
+    return stats
 
 
-_AE_STAGE_FORMAT = 2  # bump when an ae-* directory's layout or training arithmetic changes
-
-
-def _ae_stage(config: ExperimentConfig, name: str, path: str, load, digest: str) -> str:
-    """The directory of the pretrained ``name`` autoencoder, published on a miss.
-    Its key is what reaches the autoencoder: the digest of its input cache
-    (not the data directory), widths, epochs, batch size and seed. Factorization
-    settings and splits never do, so a sweep over them pretrains once."""
-    settings = {"stage": f"ae-{name}", "format": _AE_STAGE_FORMAT,
-                "input": {os.path.basename(path): digest},
-                "widths": list(getattr(config, f"{name}_widths")),
-                "epochs": config.epochs, "batch_size": config.batch_size,
-                "seed": config.seeds()[f"{name}_ae"]}
-    final = os.path.join(config.out_dir, f"ae-{name}-{_digest12(settings)}")
-    if os.path.isdir(final):
-        logger.info("stage hit: %s", os.path.basename(final))
-        _verify_stage(final)
-        return final
-    logger.info("stage miss: %s; pretraining", os.path.basename(final))
-    matrix = load(path)
-    with _RunDir(final) as tmp:
-        seed = settings["seed"]
-        model = ae_mod.AttentiveAutoencoder(matrix.matrix.shape[1], settings["widths"], seed=seed)
-        losses = ae_mod.pretrain(model, matrix, epochs=config.epochs,
-                                 batch_size=config.batch_size, seed=seed)
-        logger.info("%s autoencoder: %d epochs, final loss %s", name, len(losses),
-                    losses[-1] if losses else "n/a")
-        files = [os.path.join(tmp, n)
-                 for n in (f"{name}_ae.bin", f"{name}_ae_loss.json", "latent.bin")]
-        ae_mod.save_autoencoder(model, files[0])
-        _write_json(files[1], losses, indent=None)
-        ae_mod.save_latent(files[2], model.encode(matrix))
-        _write_json(os.path.join(tmp, "manifest.json"),
-                    {"settings": settings, "files": _digests(files)})
-    return final
-
-
-def _verify_stage(stage: str):
-    """Refuse a published stage whose files differ from its manifest's digests."""
-    path = os.path.join(stage, "manifest.json")
-    try:
-        with open(path) as fh:
-            files = json.load(fh)["files"]
-        bad = [n for n, digest in files.items()
-               if _sha256_file(os.path.join(stage, n)) != digest]
-    except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
-        raise DataError(f"{path}: unreadable stage manifest: {exc}") from None
-    if bad:
-        raise DataError(f"{os.path.join(stage, bad[0])}: contents differ from the "
-                        f"digest in {path}; delete {stage} to pretrain again")
+def _pretrain(config: ExperimentConfig, name: str, pre: str, tmp: str) -> dict:
+    cls, cache = _AE_CACHES[name]
+    matrix = cls.load(os.path.join(pre, cache))
+    seed = config.seeds()[f"{name}_ae"]
+    model = ae_mod.AttentiveAutoencoder(matrix.matrix.shape[1],
+                                        getattr(config, f"{name}_widths"), seed=seed)
+    losses = ae_mod.pretrain(model, matrix, epochs=config.epochs,
+                             batch_size=config.batch_size, seed=seed)
+    logger.info("%s autoencoder: %d epochs, final loss %s", name, len(losses),
+                losses[-1] if losses else "n/a")
+    ae_mod.save_autoencoder(model, os.path.join(tmp, f"{name}_ae.bin"))
+    _write_json(os.path.join(tmp, f"{name}_ae_loss.json"), losses, indent=None)
+    ae_mod.save_latent(os.path.join(tmp, "latent.bin"), model.encode(matrix))
+    return {}
 
 
 def cmd_train(config: ExperimentConfig, args) -> int:
-    interactions = InteractionMatrix.load(_cached(config, "interactions.bin"))
-    cache = run_dir(config, "preprocess")
-    # Hashed once: these digests key the autoencoder stages and fill the manifest.
-    inputs = _digests(os.path.join(cache, n) for n in os.listdir(cache) if n.endswith(".bin"))
-    stages, latents = {}, {}
-    for name, needed, cls, cache_name in (
-            ("text", config.needs_text, ContentMatrix, "content.bin"),
-            ("tag", config.needs_tags, TagMatrix, "tags.bin")):
-        if needed:
-            stages[name] = _ae_stage(config, name, _cached(config, cache_name),
-                                     cls.load, inputs[cache_name])
-            latents[name] = ae_mod.load_latent(os.path.join(stages[name], "latent.bin"))
-    final = run_dir(config, "train")
-    with _RunDir(final) as tmp:
-        for name, stage in stages.items():
-            for file in (f"{name}_ae.bin", f"{name}_ae_loss.json"):
-                shutil.copyfile(os.path.join(stage, file), os.path.join(tmp, file))
-
-        stats = {"variant": config.variant,
-                 "stages": {name: os.path.basename(s) for name, s in stages.items()}}
-        if config.variant == "pop":
-            # Popularity needs no factors; the manifest still records the run.
-            stats["note"] = "popularity baseline has no trainable parameters"
-        else:
-            prior = cf.make_prior(config.variant, interactions.n_articles, config.d,
-                                  latents.get("text"), latents.get("tag"))
-            traces = {}
-            for index in config.splits:
-                r_train, _ = _split(config, interactions, index)
-                model = cf.init_model(interactions.n_users, interactions.n_articles,
-                                      config.d, lambda_u=config.lambda_u,
-                                      lambda_v=config.lambda_v, a=config.a,
-                                      b=config.b, variant=config.variant,
-                                      seed=config.seeds()["factors"])
-                trace = cf.train_als(r_train, model, prior,
-                                     max_sweeps=config.max_sweeps, tol=config.tol)
-                cf.save_factors(os.path.join(tmp, f"factors-split{index}.bin"),
-                                model, sweeps=len(trace) - 1)
-                traces[str(index)] = trace
-                logger.info("split %d: %d sweeps, objective %.6f -> %.6f",
-                            index, len(trace) - 1, trace[0], trace[-1])
-            _write_json(os.path.join(tmp, "objective_trace.json"), traces)
-            stats["sweeps"] = {k: len(v) - 1 for k, v in traces.items()}
-
-        _write_manifest(tmp, "train", config, _TRAIN_KEYS, inputs, stats)
+    pre = _stage(config, "preprocess", _preprocess_key(config))
+    files = _manifest(pre, "files")
+    stages = {name: _stage(config, f"ae-{name}", _ae_key(config, files, name),
+                           lambda tmp, name=name: _pretrain(config, name, pre, tmp))
+              for name in config.autoencoders}
+    final = _stage(config, "train", _train_key(config, pre),
+                   lambda tmp: _fit(config, pre, stages, tmp))
     print(f"train outputs: {final}")
     return 0
+
+
+def _fit(config: ExperimentConfig, pre: str, stages: dict, tmp: str) -> dict:
+    latents = {}
+    for name, stage in stages.items():
+        for file in (f"{name}_ae.bin", f"{name}_ae_loss.json"):
+            shutil.copyfile(os.path.join(stage, file), os.path.join(tmp, file))
+        latents[name] = ae_mod.load_latent(os.path.join(stage, "latent.bin"))
+    if config.variant == "pop":  # popularity needs no factors
+        return {}
+    interactions = InteractionMatrix.load(os.path.join(pre, "interactions.bin"))
+    prior = cf.make_prior(config.variant, interactions.n_articles, config.d,
+                          latents.get("text"), latents.get("tag"))
+    traces = {}
+    for index in config.splits:
+        r_train, _ = _split(config, interactions, index)
+        model = cf.init_model(interactions.n_users, interactions.n_articles,
+                              config.d, lambda_u=config.lambda_u,
+                              lambda_v=config.lambda_v, a=config.a,
+                              b=config.b, variant=config.variant,
+                              seed=config.seeds()["factors"])
+        trace = cf.train_als(r_train, model, prior,
+                             max_sweeps=config.max_sweeps, tol=config.tol)
+        cf.save_factors(os.path.join(tmp, f"factors-split{index}.bin"),
+                        model, sweeps=len(trace) - 1)
+        traces[str(index)] = trace
+        logger.info("split %d: %d sweeps, objective %.6f -> %.6f",
+                    index, len(trace) - 1, trace[0], trace[-1])
+    _write_json(os.path.join(tmp, "objective_trace.json"), traces)
+    return {"sweeps": {k: len(v) - 1 for k, v in traces.items()}}
 
 
 def _split(config: ExperimentConfig, interactions, index):
@@ -465,15 +457,11 @@ def _scorer(config: ExperimentConfig, r_train, train_dir, index):
     if config.variant == "pop":
         counts = r_train.item_counts().astype(np.float64)
         return lambda users: counts
-    path = _require(os.path.join(train_dir, f"factors-split{index}.bin"), "train")
-    model, _ = cf.load_factors(path)
+    model, _ = cf.load_factors(os.path.join(train_dir, f"factors-split{index}.bin"))
     return lambda users: cf.predict_scores(model, users)
 
 
-def _evaluate_variant(config: ExperimentConfig, splits: dict) -> list:
-    train_dir = None
-    if config.variant != "pop":
-        train_dir = _require(run_dir(config, "train"), "train")
+def _evaluate_variant(config: ExperimentConfig, train_dir: str, splits: dict) -> list:
     setting = f"P={config.p}"
     reports = []
     for index, (r_train, r_test) in splits.items():
@@ -485,31 +473,39 @@ def _evaluate_variant(config: ExperimentConfig, splits: dict) -> list:
 
 
 def cmd_evaluate(config: ExperimentConfig, args) -> int:
-    interactions = InteractionMatrix.load(_cached(config, "interactions.bin"))
-    splits = {index: _split(config, interactions, index) for index in config.splits}
-    reports = _evaluate_variant(config, splits)
-
-    compare_reports = None
+    if args.compare == config.variant:
+        raise ConfigError("--compare variant matches the evaluated variant")
+    pre = _stage(config, "preprocess", _preprocess_key(config))
+    scored = [(config, _trained(config, pre))]
     if args.compare:
-        if args.compare == config.variant:
-            raise ConfigError("--compare variant matches the evaluated variant")
-        base_cfg = ExperimentConfig(**{**asdict(config), "variant": args.compare})
-        base_cfg.validate()
-        compare_reports = _evaluate_variant(base_cfg, splits)
+        base = replace(config, variant=args.compare)
+        base.validate()
+        base_pre = (pre if base.variant == "pop"
+                    else _stage(base, "preprocess", _preprocess_key(base)))
+        scored.append((base, _trained(base, base_pre)))
+    key = {"inputs": {"preprocess": os.path.basename(pre),
+                      "scored": [os.path.basename(t) for _, t in scored]},
+           "compare": args.compare,
+           **{name: getattr(config, name) for name in ("p", "seed", "n_splits", "splits",
+                                                       "ks")}}
 
-    final = run_dir(config, "evaluate")
-    with _RunDir(final) as tmp:
-        evaluation.reports_to_csv(reports, os.path.join(tmp, "reports.csv"))
-        evaluation.reports_to_json(reports, os.path.join(tmp, "reports.json"))
-        if compare_reports is not None:
-            _write_improvement(tmp, reports, compare_reports, args.compare)
-        _write_manifest(tmp, "evaluate", config, _EVALUATE_KEYS, {},
-                        {"n_reports": len(reports)})
+    def build(tmp):
+        interactions = InteractionMatrix.load(os.path.join(pre, "interactions.bin"))
+        splits = {index: _split(config, interactions, index) for index in config.splits}
+        reports = [_evaluate_variant(c, t, splits) for c, t in scored]
+        evaluation.reports_to_csv(reports[0], os.path.join(tmp, "reports.csv"))
+        evaluation.reports_to_json(reports[0], os.path.join(tmp, "reports.json"))
+        if args.compare:
+            _write_improvement(tmp, reports[0], reports[1], args.compare)
+        return {"n_reports": len(reports[0])}
+
+    final = _stage(config, "evaluate", key, build)
     print(f"evaluation reports: {final}")
-    for rep in reports:
-        if rep.split == -1:
-            print(f"  {rep.variant} {rep.setting} K={rep.k}: "
-                  f"recall={rep.recall:.4f} ndcg={rep.ndcg:.4f}")
+    with open(os.path.join(final, "reports.json")) as fh:
+        for rep in json.load(fh):
+            if rep["split"] == -1:
+                print(f"  {rep['variant']} {rep['setting']} K={rep['k']}: "
+                      f"recall={rep['recall']:.4f} ndcg={rep['ndcg']:.4f}")
     return 0
 
 
@@ -540,15 +536,14 @@ def _write_improvement(tmp, ours: list, base: list, base_name: str):
 
 
 def cmd_recommend(config: ExperimentConfig, args) -> int:
-    interactions = InteractionMatrix.load(_cached(config, "interactions.bin"))
+    pre = _stage(config, "preprocess", _preprocess_key(config))
+    interactions = InteractionMatrix.load(os.path.join(pre, "interactions.bin"))
     if not 0 <= args.user_id < interactions.n_users:
         raise ConfigError(f"user id must lie in [0, {interactions.n_users})")
     index = args.split if args.split is not None else config.splits[0]
     if not 0 <= index < config.n_splits:
         raise ConfigError(f"split must lie in [0, {config.n_splits})")
-    train_dir = None
-    if config.variant != "pop":
-        train_dir = _require(run_dir(config, "train"), "train")
+    train_dir = _trained(config, pre)
     r_train, _ = _split(config, interactions, index)
     scores = _scorer(config, r_train, train_dir, index)(args.user_id)
     picks = evaluation.top_k(scores, args.k, exclude=r_train.user_items(args.user_id))
@@ -568,38 +563,14 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_config_flags(sub):
-    sub.add_argument("--config", metavar="FILE", help="JSON config file")
-    sub.add_argument("--data-dir", dest="data_dir",
-                     help=f"input directory (default ${DATA_DIR_ENV} or ./data)")
-    sub.add_argument("--out-dir", dest="out_dir", help="run directory root")
-    sub.add_argument("--variant", choices=ALL_VARIANTS)
-    sub.add_argument("--p", type=int, help="training articles per user in a split")
-    sub.add_argument("--d", type=int, help="latent dimensionality")
-    sub.add_argument("--lambda-u", dest="lambda_u", type=float)
-    sub.add_argument("--lambda-v", dest="lambda_v", type=float)
-    sub.add_argument("--a", type=float, help="confidence on observed pairs")
-    sub.add_argument("--b", type=float, help="confidence on unobserved pairs")
-    sub.add_argument("--text-widths", dest="text_widths",
-                     help="comma-separated encoder widths for text")
-    sub.add_argument("--tag-widths", dest="tag_widths",
-                     help="comma-separated encoder widths for tags")
-    sub.add_argument("--epochs", type=int)
-    sub.add_argument("--batch-size", dest="batch_size", type=int)
-    sub.add_argument("--ks", help="comma-separated ranking cutoffs")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--vocab-size", dest="vocab_size", type=int)
-    sub.add_argument("--min-articles-per-tag", dest="min_articles_per_tag", type=int)
-    sub.add_argument("--n-splits", dest="n_splits", type=int)
-    sub.add_argument("--splits", help="comma-separated split indices to use")
-    sub.add_argument("--tol", type=float, help="relative objective stop threshold")
-    sub.add_argument("--max-sweeps", dest="max_sweeps", type=int)
-    sub.add_argument("--content-format", dest="content_format",
-                     choices=("raw", "mult"))
-    sub.add_argument("--tags-format", dest="tags_format",
-                     choices=("plain", "counted"))
-    sub.add_argument("--citations-format", dest="citations_format",
-                     choices=("pairs", "adjacency"))
+_HELP = {"data_dir": f"input directory (default ${DATA_DIR_ENV} or ./data)",
+         "out_dir": "run directory root", "p": "training articles per user in a split",
+         "d": "latent dimensionality", "a": "confidence on observed pairs",
+         "b": "confidence on unobserved pairs",
+         "text_widths": "comma-separated encoder widths for text",
+         "tag_widths": "comma-separated encoder widths for tags",
+         "ks": "comma-separated ranking cutoffs", "splits": "comma-separated split indices to use",
+         "tol": "relative objective stop threshold"}
 
 
 def build_parser() -> _Parser:
@@ -607,39 +578,30 @@ def build_parser() -> _Parser:
                      description="Hybrid recommender over implicit feedback "
                                  "with autoencoder content priors.")
     parser.add_argument("--verbose", action="store_true", help="debug logging")
+    # One flag per config field, named after it and typed by its default.
+    config_flags = argparse.ArgumentParser(add_help=False)
+    config_flags.add_argument("--config", metavar="FILE", help="JSON config file")
+    for field in fields(ExperimentConfig):
+        kind = type(field.default)
+        config_flags.add_argument("--" + field.name.replace("_", "-"), dest=field.name,
+                                  type=kind if kind in (int, float) else None,
+                                  choices=_CHOICES.get(field.name), help=_HELP.get(field.name))
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p_synth = subs.add_parser("synth", help="write a synthetic dataset")
-    _add_config_flags(p_synth)
-    p_synth.add_argument("--out", help="output directory (default: data dir)")
-    p_synth.add_argument("--n-users", dest="n_users", type=int)
-    p_synth.add_argument("--n-articles", dest="n_articles", type=int)
-    p_synth.add_argument("--n-clusters", dest="n_clusters", type=int)
-    p_synth.add_argument("--min-library", dest="min_library", type=int)
-    p_synth.add_argument("--max-library", dest="max_library", type=int)
-    p_synth.add_argument("--doc-length", dest="doc_length", type=int)
-
-    p_pre = subs.add_parser("preprocess", help="build binary caches from raw files")
-    _add_config_flags(p_pre)
-
-    p_train = subs.add_parser("train", help="pretrain autoencoders and run ALS")
-    _add_config_flags(p_train)
-
-    p_eval = subs.add_parser("evaluate", help="rank held-out articles and report")
-    _add_config_flags(p_eval)
-    p_eval.add_argument("--compare", choices=ALL_VARIANTS,
-                        help="also evaluate this variant and emit an improvement table")
-
-    p_rec = subs.add_parser("recommend", help="print top-k articles for one user")
-    _add_config_flags(p_rec)
-    p_rec.add_argument("user_id", type=int)
-    p_rec.add_argument("--k", type=int, default=10)
-    p_rec.add_argument("--split", type=int,
-                       help="which split's checkpoint to use")
+    sub = {name: subs.add_parser(name, parents=[config_flags], help=text) for name, text in (
+        ("synth", "write a synthetic dataset"),
+        ("preprocess", "build binary caches from raw files"),
+        ("train", "pretrain autoencoders and run ALS"),
+        ("evaluate", "rank held-out articles and report"),
+        ("recommend", "print top-k articles for one user"))}
+    sub["synth"].add_argument("--out", help="output directory (default: data dir)")
+    for name in _SYNTH_FLAGS:
+        sub["synth"].add_argument("--" + name.replace("_", "-"), dest=name, type=int)
+    sub["evaluate"].add_argument("--compare", choices=ALL_VARIANTS,
+                                 help="also evaluate this variant and emit an improvement table")
+    sub["recommend"].add_argument("user_id", type=int)
+    sub["recommend"].add_argument("--k", type=int, default=10)
+    sub["recommend"].add_argument("--split", type=int, help="which split's checkpoint to use")
     return parser
-
-
-_CONFIG_FLAG_NAMES = tuple(f.name for f in fields(ExperimentConfig))
 
 
 def main(argv=None) -> int:
@@ -649,7 +611,7 @@ def main(argv=None) -> int:
         logging.basicConfig(
             level=logging.DEBUG if args.verbose else logging.WARNING,
             format="%(levelname)s %(name)s: %(message)s")
-        overrides = {name: getattr(args, name, None) for name in _CONFIG_FLAG_NAMES}
+        overrides = {field.name: getattr(args, field.name) for field in fields(ExperimentConfig)}
         if overrides.get("data_dir") is None:
             overrides["data_dir"] = os.environ.get(DATA_DIR_ENV)
         config = load_config(args.config, overrides)

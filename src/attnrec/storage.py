@@ -47,10 +47,13 @@ _F64 = np.dtype("<f8")
 
 
 class _Reader:
-    """Cursor over a byte buffer with typed reads."""
+    """Cursor over a file's bytes with typed reads."""
 
-    def __init__(self, data: bytes, path):
-        self.data = data
+    def __init__(self, path):
+        try:
+            self.data = Path(path).read_bytes()
+        except OSError as exc:
+            raise DataError(f"{path}: cannot read: {exc.strerror}") from None
         self.pos = 0
         self.path = path
 
@@ -105,7 +108,7 @@ def _write_csr(path, magic: bytes, matrix: sparse.csr_matrix, with_values: bool)
 
 
 def _read_csr(path, magic: bytes, with_values: bool) -> sparse.csr_matrix:
-    reader = _Reader(Path(path).read_bytes(), path)
+    reader = _Reader(path)
     _check_header(reader, magic)
     n_rows = reader.scalar(_U32)
     n_cols = reader.scalar(_U32)
@@ -183,7 +186,7 @@ def write_tensors(path, tensors: dict, meta: dict | None = None):
 
 def read_tensors(path):
     """Return (tensors, meta); tensor payloads come back as float64 arrays."""
-    reader = _Reader(Path(path).read_bytes(), path)
+    reader = _Reader(path)
     _check_header(reader, MAGIC_TENSORS)
     meta_len = reader.scalar(_U32)
     meta = json.loads(reader.raw(meta_len).decode("utf-8")) if meta_len else {}

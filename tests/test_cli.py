@@ -224,19 +224,24 @@ def test_concurrent_runs_of_one_config_both_succeed(tmp_path):
             (Path(inner) / "out.txt").write_text("same")
     assert os.listdir(tmp_path / "runs") == [final.name]
     assert (final / "out.txt").read_text() == "same"
-    # a later run replaces the published directory
-    with cli._RunDir(str(final)) as later:
-        (Path(later) / "new.txt").write_text("new")
-    assert os.listdir(final) == ["new.txt"]
-    assert os.listdir(tmp_path / "runs") == [final.name]
 
 
-def test_run_dir_hash_scoping(tmp_path):
-    base = cli.load_config(None, {"out_dir": str(tmp_path)})
-    reseeded = cli.load_config(None, {"out_dir": str(tmp_path), "seed": 42})
+def _printed(out, prefix):
+    """The run directory a command printed after ``prefix``."""
+    return [line[len(prefix):] for line in out.splitlines() if line.startswith(prefix)]
+
+
+def test_run_dir_hash_scoping(workspace, capsys):
+    data, runs = workspace
+    printed = []
+    for seed in ("3", "42"):
+        assert cli.main(_args("preprocess", data, runs, "--seed", seed)) == 0
+        assert cli.main(_args("train", data, runs, "--seed", seed)) == 0
+        out = capsys.readouterr().out
+        printed.append((_printed(out, "preprocess cache: "), _printed(out, "train outputs: ")))
     # the master seed feeds training but not preprocessing
-    assert cli.run_dir(base, "preprocess") == cli.run_dir(reseeded, "preprocess")
-    assert cli.run_dir(base, "train") != cli.run_dir(reseeded, "train")
+    assert printed[0][0] == printed[1][0]
+    assert printed[0][1] != printed[1][1]
 
 
 def test_data_dir_env_default(tmp_path, monkeypatch):
@@ -504,3 +509,67 @@ def test_damaged_cached_latent_exits_2(workspace, capsys, damage):
     assert cli.main(_args("train", data, runs, "--lambda-v", "1")) == 2
     err = capsys.readouterr().err
     assert str(path) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("n_articles", [60, 90])
+def test_stale_parents_are_refused(workspace, capsys, n_articles):
+    # New data of the same shape, or with more articles, under the same
+    # --data-dir: the factors trained on the old data must not be used.
+    data, runs = workspace
+    assert cli.main(_args("preprocess", data, runs)) == 0
+    assert cli.main(_args("train", data, runs)) == 0
+    assert cli.main(["synth", "--data-dir", str(data), "--seed", "4",
+                     "--n-users", "40", "--n-articles", str(n_articles), "--n-clusters", "4",
+                     "--min-library", "4", "--max-library", "8",
+                     "--doc-length", "30"]) == 0
+    assert cli.main(_args("preprocess", data, runs)) == 0
+    for command, extra in (("recommend", ("3",)), ("evaluate", ())):
+        capsys.readouterr()
+        assert cli.main(_args(command, data, runs, *extra)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        missing = captured.err.split("missing ", 1)[1].split(";")[0]
+        assert os.path.basename(missing).startswith("train-")
+        assert not os.path.exists(missing)
+
+
+def test_preprocess_hit_makes_no_corpus_call(workspace, capsys, monkeypatch):
+    data, runs = workspace
+    calls = []
+    for name in ("build_bow", "load_interactions"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name,
+                            lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
+    assert cli.main(_args("preprocess", data, runs)) == 0
+    first = capsys.readouterr().out
+    assert len(calls) == 2
+    assert cli.main(_args("preprocess", data, runs)) == 0
+    assert capsys.readouterr().out == first
+    assert len(calls) == 2
+
+    path = _single_run_dir(runs, "preprocess-") / "interactions.bin"
+    raw = bytearray(path.read_bytes())
+    raw[-1] ^= 0x01
+    path.write_bytes(bytes(raw))
+    assert cli.main(_args("preprocess", data, runs)) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+
+
+def test_rounds_into_fresh_out_dirs_are_byte_identical(workspace, tmp_path, capsys):
+    # What the benchmark's round-identity check needs: no path, time or host
+    # in any manifest or key, so that a round's tree repeats byte for byte.
+    data, _ = workspace
+    trees = []
+    for name in ("one", "two"):
+        runs = tmp_path / name
+        for command, extra in (("preprocess", ()), ("train", ()),
+                               ("evaluate", ("--compare", "pop")), ("evaluate", ()),
+                               ("recommend", ("3",))):
+            assert cli.main(_args(command, data, runs, *extra)) == 0
+        for manifest in runs.glob("*/manifest.json"):
+            text = manifest.read_text()
+            assert str(runs) not in text and str(data) not in text
+        trees.append(_tree(runs))
+    assert trees[0] == trees[1]
+    assert len([d for d in os.listdir(runs) if d.startswith("evaluate-")]) == 2

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from attnrec import storage
@@ -176,3 +178,72 @@ def test_trailing_bytes_refused(tmp_path, write, read):
     path.write_bytes(path.read_bytes() + b"\x00junk")
     with pytest.raises(DataError, match="cache.bin: 5 trailing bytes"):
         read(path)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("properties")
+
+
+def _refuses_every_truncation(path, read):
+    raw = path.read_bytes()
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(DataError):
+            read(path)
+
+
+@st.composite
+def _dense_matrices(draw):
+    n_rows, n_cols = draw(st.integers(0, 6)), draw(st.integers(0, 8))
+    cell = st.one_of(st.just(0.0), st.floats(allow_nan=False, allow_infinity=False))
+    rows = draw(st.lists(st.lists(cell, min_size=n_cols, max_size=n_cols),
+                         min_size=n_rows, max_size=n_rows))
+    return np.array(rows, dtype=np.float64).reshape(n_rows, n_cols)
+
+
+@settings(max_examples=40, deadline=None)
+@given(magic=st.sampled_from([storage.MAGIC_CONTENT, storage.MAGIC_TAGS,
+                              storage.MAGIC_INTERACTIONS]),
+       dense=_dense_matrices())
+def test_csr_round_trip_and_truncation_property(scratch, magic, dense):
+    with_values = magic == storage.MAGIC_CONTENT
+    path = scratch / "matrix.bin"
+    storage._write_csr(path, magic, sparse.csr_matrix(dense), with_values=with_values)
+    read = lambda p: storage._read_csr(p, magic, with_values=with_values)  # noqa: E731
+    got = read(path)
+    assert got.shape == dense.shape
+    assert np.array_equal(got.toarray(), dense if with_values else (dense != 0) * 1.0)
+    _refuses_every_truncation(path, read)
+
+
+@st.composite
+def _f32_tensors(draw):
+    """Tensors of up to three axes whose values f32 holds exactly."""
+    shape = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+    size = int(np.prod(shape))
+    values = draw(st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False),
+                           min_size=size, max_size=size))
+    return np.array(values, dtype=np.float64).reshape(shape)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tensors=st.dictionaries(st.text(max_size=6), _f32_tensors(), max_size=3),
+       meta=st.dictionaries(st.text(max_size=6),
+                            st.one_of(st.integers(-10 ** 6, 10 ** 6), st.text(max_size=6)),
+                            max_size=3))
+def test_tensor_round_trip_and_truncation_property(scratch, tensors, meta):
+    path = scratch / "tensors.bin"
+    storage.write_tensors(path, tensors, meta)
+    got, got_meta = storage.read_tensors(path)
+    assert got_meta == meta
+    assert set(got) == set(tensors)
+    for name, array in tensors.items():
+        assert got[name].shape == array.shape and np.array_equal(got[name], array)
+    _refuses_every_truncation(path, storage.read_tensors)
+
+
+@pytest.mark.parametrize("read", [storage.read_interactions, storage.read_tensors])
+def test_missing_file_refused(tmp_path, read):
+    with pytest.raises(DataError, match="nothing.bin: cannot read"):
+        read(tmp_path / "nothing.bin")
