@@ -68,7 +68,6 @@ class AttentiveAutoencoder:
             decoder += [Dense(a, b, rng), BatchNorm(b), ReLU()]
         decoder += [Dense(mirrored[-2], mirrored[-1], rng), Sigmoid()]
 
-        self._encoder = Sequential(encoder)
         self.net = Sequential(encoder + [Attention()] + decoder)
         self.params, self.grads = flatten(self.net.layers)
 
@@ -76,25 +75,18 @@ class AttentiveAutoencoder:
     def latent_dim(self) -> int:
         return self.widths[-1]
 
-    def reconstruct(self, x, training: bool = False) -> np.ndarray:
-        """Full forward pass; outputs lie in (0, 1)."""
-        return self.net.forward(_as_dense(x), training=training)
-
-    def encoder_output(self, rows) -> np.ndarray:
-        """Encoder stack output before the attention gate (evaluation mode),
-        densified and computed in float64 one chunk of rows at a time."""
-        rows = rows.matrix if hasattr(rows, "matrix") else rows
-        rows = rows if sparse.issparse(rows) else np.asarray(rows)
-        if rows.shape[1] != self.input_dim:
-            raise ValueError(f"expected rows of width {self.input_dim}, got {rows.shape[1]}")
-        chunks = [self._encoder.forward(_as_dense(rows[start:start + ENCODE_CHUNK]),
-                                        training=False)
-                  for start in range(0, rows.shape[0], ENCODE_CHUNK)]
-        return np.concatenate(chunks) if chunks else np.zeros((0, self.latent_dim))
-
     def encode(self, rows) -> np.ndarray:
-        """Latent rows: attention-gated encoder output, evaluation mode."""
-        return attention_bottleneck(self.encoder_output(rows))
+        """Latent rows: the layers below the attention gate in evaluation mode,
+        in float64 over one densified chunk of rows at a time, then the gate."""
+        rows = _csr(rows, self.input_dim, np.float64)
+        gate = [type(layer) for layer in self.net.layers].index(Attention)
+        chunks = [np.zeros((0, self.latent_dim))]  # zero rows encode to zero rows
+        for start in range(0, rows.shape[0], ENCODE_CHUNK):
+            x = rows[start:start + ENCODE_CHUNK].toarray()
+            for layer in self.net.layers[:gate]:
+                x = layer.forward(x, training=False)
+            chunks.append(x)
+        return attention_bottleneck(np.concatenate(chunks))
 
     def _slots(self):
         """(name, array) for every checkpointed tensor, in layer order."""
@@ -119,12 +111,13 @@ class AttentiveAutoencoder:
             array[...] = tensors[name]
 
 
-def _as_dense(rows) -> np.ndarray:
-    if hasattr(rows, "matrix"):  # ContentMatrix / TagMatrix
-        rows = rows.matrix
-    if sparse.issparse(rows):
-        rows = rows.toarray()
-    return np.asarray(rows, dtype=np.float64)
+def _csr(rows, width: int, dtype) -> sparse.csr_matrix:
+    """Content rows (a ContentMatrix or TagMatrix, a sparse matrix or an
+    array) as CSR of ``dtype``, checked to be ``width`` columns wide."""
+    rows = sparse.csr_matrix(rows.matrix if hasattr(rows, "matrix") else rows, dtype=dtype)
+    if rows.shape[1] != width:
+        raise ValueError(f"expected rows of width {width}, got {rows.shape[1]}")
+    return rows
 
 
 def _batch_slices(n: int, batch_size: int):
@@ -144,11 +137,8 @@ def pretrain(ae: AttentiveAutoencoder, data, epochs: int = 200, batch_size: int 
     per-epoch mean reconstruction loss. Deterministic for a fixed seed;
     epochs=0 leaves the model untouched and returns [].
     """
-    data = sparse.csr_matrix(data.matrix if hasattr(data, "matrix") else data,
-                             dtype=np.float32)
+    data = _csr(data, ae.input_dim, np.float32)
     n = data.shape[0]
-    if data.shape[1] != ae.input_dim:
-        raise ValueError(f"data width {data.shape[1]} != input_dim {ae.input_dim}")
     if epochs == 0:
         return []
     if n < 2:

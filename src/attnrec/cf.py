@@ -26,7 +26,8 @@ from .errors import ConfigError, DataError, NumericalError
 
 logger = logging.getLogger(__name__)
 
-VARIANTS = ("wrmf", "cata", "cata-tags", "cata++")
+LATENTS = {"wrmf": (), "cata": ("text",), "cata-tags": ("tag",), "cata++": ("text", "tag")}
+VARIANTS = tuple(LATENTS)
 
 
 @dataclass
@@ -78,24 +79,19 @@ def init_model(n_users: int, n_articles: int, d: int, *, lambda_u: float,
 def make_prior(variant: str, n_articles: int, d: int,
                text_latent: np.ndarray | None = None,
                tag_latent: np.ndarray | None = None) -> np.ndarray:
-    """Per-article prior matrix for the requested variant."""
+    """Per-article prior matrix: the sum of the variant's ``LATENTS``, text first."""
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
-    need_text = variant in ("cata", "cata++")
-    need_tags = variant in ("cata-tags", "cata++")
-    if need_text and text_latent is None:
-        raise ConfigError(f"variant {variant!r} requires a text latent matrix")
-    if need_tags and tag_latent is None:
-        raise ConfigError(f"variant {variant!r} requires a tag latent matrix")
+    latents = {"text": text_latent, "tag": tag_latent}
+    for name in LATENTS[variant]:
+        if latents[name] is None:
+            raise ConfigError(f"variant {variant!r} requires a {name} latent matrix")
     prior = np.zeros((n_articles, d))
-    if need_text:
-        if text_latent.shape != (n_articles, d):
-            raise ConfigError(f"text latent has shape {text_latent.shape}, expected {(n_articles, d)}")
-        prior += text_latent
-    if need_tags:
-        if tag_latent.shape != (n_articles, d):
-            raise ConfigError(f"tag latent has shape {tag_latent.shape}, expected {(n_articles, d)}")
-        prior += tag_latent
+    for name in LATENTS[variant]:
+        if latents[name].shape != (n_articles, d):
+            raise ConfigError(f"{name} latent has shape {latents[name].shape}, "
+                              f"expected {(n_articles, d)}")
+        prior += latents[name]
     if not np.all(np.isfinite(prior)):
         raise NumericalError("prior matrix must be finite")
     return prior

@@ -102,8 +102,7 @@ class ExperimentConfig:
     @property
     def autoencoders(self) -> tuple:
         """The content autoencoders the variant pretrains, "text" and/or "tag"."""
-        return {"cata": ("text",), "cata-tags": ("tag",),
-                "cata++": ("text", "tag")}.get(self.variant, ())
+        return cf.LATENTS.get(self.variant, ())
 
     def seeds(self) -> dict:
         """Named per-stage seeds derived from the master seed."""
@@ -452,20 +451,25 @@ def _split(config: ExperimentConfig, interactions, index):
     return evaluation.make_split(interactions, config.p, rng)
 
 
-def _scorer(config: ExperimentConfig, r_train, train_dir, index):
-    """Scores for an int user or an index array; pop gives one shared row."""
+def _scorer(config: ExperimentConfig, r_train, source, train_dir, index):
+    """Scores for an int user or an index array from factors that must fit
+    ``r_train``, split from the file ``source``; pop gives one shared row."""
     if config.variant == "pop":
         counts = r_train.item_counts().astype(np.float64)
         return lambda users: counts
-    model, _ = cf.load_factors(os.path.join(train_dir, f"factors-split{index}.bin"))
+    path = os.path.join(train_dir, f"factors-split{index}.bin")
+    model, _ = cf.load_factors(path)
+    if (len(model.U), len(model.V)) != r_train.matrix.shape:
+        raise DataError(f"{path}: factors for {len(model.U)} users x {len(model.V)} articles "
+                        f"do not fit the {r_train.n_users} x {r_train.n_articles} of {source}")
     return lambda users: cf.predict_scores(model, users)
 
 
-def _evaluate_variant(config: ExperimentConfig, train_dir: str, splits: dict) -> list:
+def _evaluate_variant(config: ExperimentConfig, train_dir: str, splits: dict, source) -> list:
     setting = f"P={config.p}"
     reports = []
     for index, (r_train, r_test) in splits.items():
-        score_fn = _scorer(config, r_train, train_dir, index)
+        score_fn = _scorer(config, r_train, source, train_dir, index)
         reports.extend(evaluation.evaluate(score_fn, r_train, r_test, config.ks,
                                            variant=config.variant,
                                            setting=setting, split=index))
@@ -490,9 +494,10 @@ def cmd_evaluate(config: ExperimentConfig, args) -> int:
                                                        "ks")}}
 
     def build(tmp):
-        interactions = InteractionMatrix.load(os.path.join(pre, "interactions.bin"))
+        source = os.path.join(pre, "interactions.bin")
+        interactions = InteractionMatrix.load(source)
         splits = {index: _split(config, interactions, index) for index in config.splits}
-        reports = [_evaluate_variant(c, t, splits) for c, t in scored]
+        reports = [_evaluate_variant(c, t, splits, source) for c, t in scored]
         evaluation.reports_to_csv(reports[0], os.path.join(tmp, "reports.csv"))
         evaluation.reports_to_json(reports[0], os.path.join(tmp, "reports.json"))
         if args.compare:
@@ -537,7 +542,8 @@ def _write_improvement(tmp, ours: list, base: list, base_name: str):
 
 def cmd_recommend(config: ExperimentConfig, args) -> int:
     pre = _stage(config, "preprocess", _preprocess_key(config))
-    interactions = InteractionMatrix.load(os.path.join(pre, "interactions.bin"))
+    source = os.path.join(pre, "interactions.bin")
+    interactions = InteractionMatrix.load(source)
     if not 0 <= args.user_id < interactions.n_users:
         raise ConfigError(f"user id must lie in [0, {interactions.n_users})")
     index = args.split if args.split is not None else config.splits[0]
@@ -545,7 +551,7 @@ def cmd_recommend(config: ExperimentConfig, args) -> int:
         raise ConfigError(f"split must lie in [0, {config.n_splits})")
     train_dir = _trained(config, pre)
     r_train, _ = _split(config, interactions, index)
-    scores = _scorer(config, r_train, train_dir, index)(args.user_id)
+    scores = _scorer(config, r_train, source, train_dir, index)(args.user_id)
     picks = evaluation.top_k(scores, args.k, exclude=r_train.user_items(args.user_id))
     for rank, article in enumerate(picks, start=1):
         print(f"{rank}\t{int(article)}\t{scores[article]:.6f}")

@@ -188,17 +188,22 @@ def read_tensors(path):
     """Return (tensors, meta); tensor payloads come back as float64 arrays."""
     reader = _Reader(path)
     _check_header(reader, MAGIC_TENSORS)
-    meta_len = reader.scalar(_U32)
-    meta = json.loads(reader.raw(meta_len).decode("utf-8")) if meta_len else {}
-    count = reader.scalar(_U32)
-    tensors = {}
-    for _ in range(count):
-        name_len = reader.scalar(_U16)
-        name = reader.raw(name_len).decode("utf-8")
-        ndim = reader.scalar(_U8)
-        shape = tuple(reader.take(_U32, ndim).astype(int))
-        size = int(np.prod(shape)) if ndim else 1
-        data = reader.take(_F32, size).astype(np.float64)
-        tensors[name] = data.reshape(shape)
+    try:  # a ValueError here is bad JSON or UTF-8, or a shape no payload can fill
+        meta_len = reader.scalar(_U32)
+        meta = json.loads(reader.raw(meta_len).decode("utf-8")) if meta_len else {}
+        if not isinstance(meta, dict):
+            raise ValueError("metadata is not a JSON object")
+        count = reader.scalar(_U32)
+        tensors = {}
+        for _ in range(count):
+            name_len = reader.scalar(_U16)
+            name = reader.raw(name_len).decode("utf-8")
+            ndim = reader.scalar(_U8)
+            shape = tuple(reader.take(_U32, ndim).astype(int))
+            size = int(np.prod(shape)) if ndim else 1
+            data = reader.take(_F32, size).astype(np.float64)
+            tensors[name] = data.reshape(shape)
+    except ValueError as exc:
+        raise DataError(f"{path}: damaged tensor container: {exc}") from None
     reader.finish()
     return tensors, meta

@@ -46,7 +46,10 @@ def test_width_validation():
 def test_encode_applies_attention_gate():
     ae = AttentiveAutoencoder(30, [8], seed=1)
     data = _toy_content()
-    pre = ae.encoder_output(data)
+    gate = [type(layer) for layer in ae.net.layers].index(nn.Attention)
+    pre = data.matrix.toarray()
+    for layer in ae.net.layers[:gate]:
+        pre = layer.forward(pre, training=False)
     gated = ae.encode(data)
     assert np.array_equal(gated, nn.softmax(pre) * pre)
 
@@ -65,7 +68,7 @@ def test_encode_chunking_is_invisible(monkeypatch):
 
 def test_reconstruct_shape_and_range():
     ae = AttentiveAutoencoder(30, [8], seed=3)
-    out = ae.reconstruct(_toy_content(), training=False)
+    out = ae.net.forward(_toy_content().matrix.toarray(), training=False)
     assert out.shape == (40, 30)
     assert np.all((out > 0.0) & (out < 1.0))
 
@@ -195,14 +198,16 @@ def test_encode_densifies_one_chunk_at_a_time(monkeypatch):
     data = _toy_content(n_rows=50)
     dense = data.matrix.toarray()
     seen = []
-    densify = mod._as_dense
+    first = ae.net.layers[0]
+    forward = first.forward
     monkeypatch.setattr(mod, "ENCODE_CHUNK", 7)
-    monkeypatch.setattr(mod, "_as_dense", lambda rows: seen.append(rows.shape[0]) or densify(rows))
+    monkeypatch.setattr(first, "forward",
+                        lambda x, training=True: seen.append(x.shape[0]) or forward(x, training))
     assert np.array_equal(ae.encode(data), ae.encode(dense))
     assert seen and max(seen) <= 7
 
 
 def test_training_forward_on_float64_rows_keeps_float32_state():
     ae = AttentiveAutoencoder(10, [4], seed=14)
-    ae.reconstruct(np.random.default_rng(0).uniform(size=(6, 10)), training=True)
+    ae.net.forward(np.random.default_rng(0).uniform(size=(6, 10)), training=True)
     assert all(t.dtype == np.float32 for t in ae.named_tensors().values())

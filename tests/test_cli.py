@@ -533,6 +533,67 @@ def test_stale_parents_are_refused(workspace, capsys, n_articles):
         assert not os.path.exists(missing)
 
 
+def _flip(path, offset, mask=0x40):
+    raw = bytearray(path.read_bytes())
+    raw[offset] ^= mask
+    path.write_bytes(bytes(raw))
+
+
+def _refused(capsys, argv, *names):
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert all(str(name) in captured.err for name in names), captured.err
+    return captured.err
+
+
+def test_undecodable_factor_metadata_exits_2(workspace, capsys):
+    # Byte 9 opens the RXTN metadata JSON: "{" becomes ";".
+    data, runs = workspace
+    assert cli.main(_args("preprocess", data, runs)) == 0
+    assert cli.main(_args("train", data, runs)) == 0
+    path = _single_run_dir(runs, "train-") / "factors-split1.bin"
+    _flip(path, 9)
+    for command, extra in (("recommend", ("3",)), ("evaluate", ())):
+        _refused(capsys, _args(command, data, runs, *extra), path)
+
+
+def test_factors_that_do_not_fit_the_interactions_exit_2(workspace, capsys):
+    # Byte 9 is the low byte of interactions.bin's n_cols: 60 articles become 124.
+    data, runs = workspace
+    assert cli.main(_args("preprocess", data, runs)) == 0
+    assert cli.main(_args("train", data, runs)) == 0
+    interactions = _single_run_dir(runs, "preprocess-") / "interactions.bin"
+    _flip(interactions, 9)
+    assert storage.read_interactions(interactions).shape[1] == 124
+    factors = _single_run_dir(runs, "train-") / "factors-split1.bin"
+    for command, extra in (("recommend", ("3",)), ("evaluate", ())):
+        _refused(capsys, _args(command, data, runs, *extra), factors, interactions)
+
+
+def test_compare_across_article_universes_exits_2(workspace, capsys):
+    # Without content, wrmf takes n_articles from the largest saved id + 1
+    # (55 here), while cata++ takes it from the content file (60).
+    data, runs = workspace
+    users = data / "users.dat"
+    lines = []
+    for line in users.read_text().splitlines():
+        kept = [i for i in line.split()[1:] if int(i) < 55]
+        lines.append(" ".join([str(len(kept))] + kept))
+    users.write_text("\n".join(lines) + "\n")
+    for variant in ("cata++", "wrmf"):
+        assert cli.main(_args("preprocess", data, runs, "--variant", variant)) == 0
+        assert cli.main(_args("train", data, runs, "--variant", variant)) == 0
+    assert {json.loads((runs / d / "manifest.json").read_text())["stats"]["n_articles"]
+            for d in os.listdir(runs) if d.startswith("preprocess-")} == {55, 60}
+    for variant, compare in (("wrmf", "cata++"), ("cata++", "wrmf")):
+        err = _refused(capsys, _args("evaluate", data, runs, "--variant", variant,
+                                     "--compare", compare))
+        assert "factors-split1.bin" in err and "interactions.bin" in err
+    assert not any(d.startswith("evaluate-") for d in os.listdir(runs))
+
+
 def test_preprocess_hit_makes_no_corpus_call(workspace, capsys, monkeypatch):
     data, runs = workspace
     calls = []

@@ -247,3 +247,49 @@ def test_tensor_round_trip_and_truncation_property(scratch, tensors, meta):
 def test_missing_file_refused(tmp_path, read):
     with pytest.raises(DataError, match="nothing.bin: cannot read"):
         read(tmp_path / "nothing.bin")
+
+
+def _with_byte(path, offset, value):
+    raw = bytearray(path.read_bytes())
+    raw[offset] = value
+    path.write_bytes(bytes(raw))
+
+
+# Byte 9 is the first byte of the metadata JSON, after magic, version and
+# the u32 metadata length.
+@pytest.mark.parametrize("value", [ord(";"), 0xFF], ids=["not-json", "not-utf8"])
+def test_tensor_metadata_that_does_not_decode_is_refused(tmp_path, value):
+    path = tmp_path / "ckpt.bin"
+    storage.write_tensors(path, {"w": np.ones(2)}, {"seed": 1})
+    _with_byte(path, 9, value)
+    with pytest.raises(DataError, match=r"ckpt\.bin: damaged tensor container"):
+        storage.read_tensors(path)
+
+
+def test_tensor_metadata_that_is_not_an_object_is_refused(tmp_path):
+    path = tmp_path / "ckpt.bin"
+    storage.write_tensors(path, {"w": np.ones(2)}, [1, 2])
+    with pytest.raises(DataError, match=r"ckpt\.bin: .*metadata is not a JSON object"):
+        storage.read_tensors(path)
+
+
+def test_tensor_name_that_is_not_utf8_is_refused(tmp_path):
+    path = tmp_path / "ckpt.bin"
+    storage.write_tensors(path, {"w": np.ones(2)}, {})
+    # magic + version, u32 meta length, "{}", u32 count, u16 name length
+    _with_byte(path, 5 + 4 + 2 + 4 + 2, 0xFF)
+    with pytest.raises(DataError, match=r"ckpt\.bin: damaged tensor container.*utf-8"):
+        storage.read_tensors(path)
+
+
+# The element count of the first shape wraps to 0 in int64; no array has 255 axes.
+@pytest.mark.parametrize("shape", [[2 ** 20, 2 ** 20, 2 ** 24], [1] * 255])
+def test_tensor_shape_no_payload_can_fill_is_refused(tmp_path, shape):
+    path = tmp_path / "ckpt.bin"
+    storage.write_tensors(path, {"w": np.ones(2)}, {})
+    raw = path.read_bytes()
+    at = 5 + 4 + 2 + 4 + 2 + 1  # the ndim byte of tensor "w"
+    raw = raw[:at] + bytes([len(shape)]) + np.array(shape, "<u4").tobytes() + raw[at + 5:]
+    path.write_bytes(raw)
+    with pytest.raises(DataError, match=r"ckpt\.bin: damaged tensor container"):
+        storage.read_tensors(path)
