@@ -5,7 +5,7 @@ individual flags, highest priority last. Every cached directory is a stage,
 ``<out_dir>/<kind>-<hash>``, named by one function (``_stage``) from a key
 of the settings that reach it plus the content of its inputs: the SHA-256
 of each raw file for ``preprocess``, of the input cache for ``ae-text`` and
-``ae-tag``, and parent stage names for ``train`` and ``evaluate``. No key
+``ae-tag``, and parent stage names for ``split``, ``train`` and ``evaluate``. No key
 holds a path, so changed data yields new names and a stale parent is a
 missing one, refused with exit 2. A stage found under its name is reused
 after its files are checked against the digests in its manifest; it is
@@ -428,7 +428,7 @@ def _fit(config: ExperimentConfig, pre: str, stages: dict, tmp: str) -> dict:
                           latents.get("text"), latents.get("tag"))
     traces = {}
     for index in config.splits:
-        r_train, _ = _split(config, interactions, index)
+        r_train, _ = _stored_split(config, pre, interactions, index)
         model = cf.init_model(interactions.n_users, interactions.n_articles,
                               config.d, lambda_u=config.lambda_u,
                               lambda_v=config.lambda_v, a=config.a,
@@ -451,29 +451,49 @@ def _split(config: ExperimentConfig, interactions, index):
     return evaluation.make_split(interactions, config.p, rng)
 
 
-def _scorer(config: ExperimentConfig, r_train, source, train_dir, index):
-    """Scores for an int user or an index array from factors that must fit
-    ``r_train``, split from the file ``source``; pop gives one shared row."""
+def _stored_split(config: ExperimentConfig, pre: str, interactions, index):
+    """The (train, test) matrices of one split from its ``split`` stage,
+    which a miss derives once through ``_split``; refused unless they fit
+    ``interactions``, the ``interactions.bin`` of ``pre``."""
+    key = {"inputs": {"preprocess": os.path.basename(pre)}, "p": config.p,
+           "seed": config.seeds()["split"], "index": index}
+    names = ("train.bin", "test.bin")
+
+    def build(tmp):
+        for name, matrix in zip(names, _split(config, interactions, index)):
+            matrix.save(os.path.join(tmp, name))
+        return {}
+
+    stage = _stage(config, "split", key, build)
+    r_train, r_test = (InteractionMatrix.load(os.path.join(stage, name)) for name in names)
+    if r_train.matrix.shape != interactions.matrix.shape:
+        raise DataError(f"{stage}/train.bin: split of {r_train.n_users} x {r_train.n_articles} "
+                        f"does not fit the {interactions.n_users} x {interactions.n_articles} "
+                        f"of {pre}/interactions.bin")
+    return r_train, r_test
+
+
+def _model(config: ExperimentConfig, train_dir: str, index, interactions, source):
+    """The factors of one split, refused unless they fit ``interactions``,
+    read from the file ``source``; None for pop, which has none."""
     if config.variant == "pop":
-        counts = r_train.item_counts().astype(np.float64)
-        return lambda users: counts
+        return None
     path = os.path.join(train_dir, f"factors-split{index}.bin")
     model, _ = cf.load_factors(path)
-    if (len(model.U), len(model.V)) != r_train.matrix.shape:
+    if (len(model.U), len(model.V)) != interactions.matrix.shape:
         raise DataError(f"{path}: factors for {len(model.U)} users x {len(model.V)} articles "
-                        f"do not fit the {r_train.n_users} x {r_train.n_articles} of {source}")
+                        f"do not fit the {interactions.n_users} x {interactions.n_articles} "
+                        f"of {source}")
+    return model
+
+
+def _scorer(model, r_train):
+    """Scores for an int user or an index array; pop, with no model, gives
+    one shared row of training counts."""
+    if model is None:
+        counts = r_train.item_counts().astype(np.float64)
+        return lambda users: counts
     return lambda users: cf.predict_scores(model, users)
-
-
-def _evaluate_variant(config: ExperimentConfig, train_dir: str, splits: dict, source) -> list:
-    setting = f"P={config.p}"
-    reports = []
-    for index, (r_train, r_test) in splits.items():
-        score_fn = _scorer(config, r_train, source, train_dir, index)
-        reports.extend(evaluation.evaluate(score_fn, r_train, r_test, config.ks,
-                                           variant=config.variant,
-                                           setting=setting, split=index))
-    return reports + evaluation.average_reports(reports)
 
 
 def cmd_evaluate(config: ExperimentConfig, args) -> int:
@@ -496,8 +516,15 @@ def cmd_evaluate(config: ExperimentConfig, args) -> int:
     def build(tmp):
         source = os.path.join(pre, "interactions.bin")
         interactions = InteractionMatrix.load(source)
-        splits = {index: _split(config, interactions, index) for index in config.splits}
-        reports = [_evaluate_variant(c, t, splits, source) for c, t in scored]
+        reports = [[] for _ in scored]
+        for index in config.splits:
+            models = [_model(c, t, index, interactions, source) for c, t in scored]
+            r_train, r_test = _stored_split(config, pre, interactions, index)
+            for out, (c, _), model in zip(reports, scored, models):
+                out.extend(evaluation.evaluate(_scorer(model, r_train), r_train, r_test,
+                                               config.ks, variant=c.variant,
+                                               setting=f"P={config.p}", split=index))
+        reports = [out + evaluation.average_reports(out) for out in reports]
         evaluation.reports_to_csv(reports[0], os.path.join(tmp, "reports.csv"))
         evaluation.reports_to_json(reports[0], os.path.join(tmp, "reports.json"))
         if args.compare:
@@ -549,9 +576,9 @@ def cmd_recommend(config: ExperimentConfig, args) -> int:
     index = args.split if args.split is not None else config.splits[0]
     if not 0 <= index < config.n_splits:
         raise ConfigError(f"split must lie in [0, {config.n_splits})")
-    train_dir = _trained(config, pre)
-    r_train, _ = _split(config, interactions, index)
-    scores = _scorer(config, r_train, source, train_dir, index)(args.user_id)
+    model = _model(config, _trained(config, pre), index, interactions, source)
+    r_train, _ = _stored_split(config, pre, interactions, index)
+    scores = _scorer(model, r_train)(args.user_id)
     picks = evaluation.top_k(scores, args.k, exclude=r_train.user_items(args.user_id))
     for rank, article in enumerate(picks, start=1):
         print(f"{rank}\t{int(article)}\t{scores[article]:.6f}")

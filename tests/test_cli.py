@@ -4,9 +4,11 @@ import logging
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from attnrec import cli, evaluation, storage
+from attnrec.corpus import InteractionMatrix
 from attnrec.errors import NumericalError
 
 COMMON = ["--variant", "cata++", "--p", "1", "--d", "6",
@@ -259,12 +261,13 @@ def test_data_dir_env_default(tmp_path, monkeypatch):
 def test_evaluate_compare_derives_each_split_once(workspace, monkeypatch):
     data, runs = workspace
     extra = ("--variant", "wrmf", "--n-splits", "3", "--splits", "1,2")
-    assert cli.main(_args("preprocess", data, runs, *extra)) == 0
-    assert cli.main(_args("train", data, runs, *extra)) == 0
     calls = []
     make_split = evaluation.make_split
     monkeypatch.setattr(evaluation, "make_split",
                         lambda *a: calls.append(1) or make_split(*a))
+    assert cli.main(_args("preprocess", data, runs, *extra)) == 0
+    assert cli.main(_args("train", data, runs, *extra)) == 0
+    assert len(calls) == 2
     assert cli.main(_args("evaluate", data, runs, *extra, "--compare", "pop")) == 0
     assert len(calls) == 2
 
@@ -634,3 +637,119 @@ def test_rounds_into_fresh_out_dirs_are_byte_identical(workspace, tmp_path, caps
         trees.append(_tree(runs))
     assert trees[0] == trees[1]
     assert len([d for d in os.listdir(runs) if d.startswith("evaluate-")]) == 2
+
+
+def _split_stages(runs) -> dict:
+    """Each split stage by its manifest's (p, index)."""
+    found = {}
+    for name in os.listdir(runs):
+        if name.startswith("split-"):
+            manifest = json.loads((runs / name / "manifest.json").read_text())
+            found[manifest["p"], manifest["index"]] = runs / name
+    return found
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_split_stage_holds_the_derived_split(workspace, tmp_path, p):
+    # recommend --variant pop needs no train stage, so it builds the split
+    # stage itself; its bytes are what make_split gives on the split stream.
+    data, runs = workspace
+    extra = ("--variant", "pop", "--p", str(p), "--n-splits", "4")
+    assert cli.main(_args("preprocess", data, runs, *extra)) == 0
+    for index in range(4):
+        assert cli.main(_args("recommend", data, runs, *extra, "--split", str(index), "3")) == 0
+    stages = _split_stages(runs)
+    assert sorted(stages) == [(p, index) for index in range(4)]
+    pre = _single_run_dir(runs, "preprocess-")
+    interactions = InteractionMatrix.load(pre / "interactions.bin")
+    seed = cli.ExperimentConfig(seed=3).seeds()["split"]
+    for index in range(4):
+        expected = evaluation.make_split(interactions, p, np.random.default_rng([seed, index]))
+        for name, matrix in zip(("train.bin", "test.bin"), expected):
+            matrix.save(tmp_path / name)
+            assert (stages[p, index] / name).read_bytes() == (tmp_path / name).read_bytes()
+        manifest = json.loads((stages[p, index] / "manifest.json").read_text())
+        assert manifest["inputs"] == {"preprocess": pre.name}
+        assert set(manifest) == {"inputs", "p", "seed", "index", "stats", "files"}
+
+
+def test_recommend_and_evaluate_after_train_derive_no_split(workspace, monkeypatch):
+    data, runs = workspace
+    extra = ("--variant", "wrmf")
+    assert cli.main(_args("preprocess", data, runs, *extra)) == 0
+    assert cli.main(_args("train", data, runs, *extra)) == 0
+    calls = []
+    make_split = evaluation.make_split
+    monkeypatch.setattr(evaluation, "make_split",
+                        lambda *a: calls.append(1) or make_split(*a))
+    for command, more in (("recommend", ("3",)), ("recommend", ("--variant", "pop", "5")),
+                          ("evaluate", ("--compare", "pop")), ("evaluate", ())):
+        assert cli.main(_args(command, data, runs, *extra, *more)) == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("damage", ["truncate", "flip"])
+def test_damaged_split_stage_exits_2(workspace, capsys, damage):
+    data, runs = workspace
+    extra = ("--variant", "wrmf")
+    assert cli.main(_args("preprocess", data, runs, *extra)) == 0
+    assert cli.main(_args("train", data, runs, *extra)) == 0
+    path = _single_run_dir(runs, "split-") / "train.bin"
+    raw = bytearray(path.read_bytes())
+    if damage == "truncate":
+        del raw[-4:]
+    else:
+        raw[-3] ^= 0x10
+    path.write_bytes(bytes(raw))
+    for command, more in (("recommend", ("3",)), ("evaluate", ())):
+        _refused(capsys, _args(command, data, runs, *extra, *more), path)
+    assert not any(d.startswith("evaluate-") for d in os.listdir(runs))
+
+
+def test_split_stage_is_keyed_by_what_reaches_the_split(workspace):
+    data, runs = workspace
+    extra = ("--variant", "wrmf")
+    splits = lambda: {d for d in os.listdir(runs) if d.startswith("split-")}
+    assert cli.main(_args("preprocess", data, runs, *extra)) == 0
+    assert cli.main(_args("train", data, runs, *extra, "--lambda-v", "0.1")) == 0
+    base = splits()
+    assert len(base) == 1
+    # settings the derivation does not read reuse the one stage
+    for command, more in (("train", ("--lambda-v", "10")), ("train", ("--n-splits", "4")),
+                          ("train", ("--n-splits", "5")), ("evaluate", ("--n-splits", "5")),
+                          ("recommend", ("--variant", "pop", "3")),
+                          ("evaluate", ("--variant", "pop"))):
+        assert cli.main(_args(command, data, runs, *extra, *more)) == 0
+        assert splits() == base, more
+    assert len([d for d in os.listdir(runs) if d.startswith("preprocess-")]) == 1
+    seen = base
+    for more in (("--p", "2"), ("--seed", "4")):
+        assert cli.main(_args("recommend", data, runs, *extra, *more, "--variant", "pop",
+                              "3")) == 0
+        assert len(splits() - seen) == 1, more
+        seen = splits()
+    # new contents under the same data directory re-key it
+    assert cli.main(["synth", "--data-dir", str(data), "--seed", "4",
+                     "--n-users", "40", "--n-articles", "60", "--n-clusters", "4",
+                     "--min-library", "4", "--max-library", "8",
+                     "--doc-length", "30"]) == 0
+    assert cli.main(_args("preprocess", data, runs, *extra)) == 0
+    assert cli.main(_args("recommend", data, runs, *extra, "--variant", "pop", "3")) == 0
+    assert len(splits() - seen) == 1
+
+
+def test_pop_on_damaged_interactions_exits_2(workspace, capsys):
+    # Byte 9 is the low byte of interactions.bin's n_cols: 60 articles become
+    # 124. Pop has no factors to check, but the split stage built before the
+    # damage no longer fits the file.
+    data, runs = workspace
+    extra = ("--variant", "wrmf")
+    assert cli.main(_args("preprocess", data, runs, *extra)) == 0
+    assert cli.main(_args("train", data, runs, *extra)) == 0
+    interactions = _single_run_dir(runs, "preprocess-") / "interactions.bin"
+    _flip(interactions, 9)
+    split = _single_run_dir(runs, "split-") / "train.bin"
+    for command, more in (("recommend", ("3",)), ("evaluate", ())):
+        err = _refused(capsys, _args(command, data, runs, "--variant", "pop", *more),
+                       split, interactions)
+        assert "124" in err
