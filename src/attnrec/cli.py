@@ -18,6 +18,7 @@ data, 3 numerical failure during optimization.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -606,6 +607,7 @@ _HELP = {"data_dir": f"input directory (default ${DATA_DIR_ENV} or ./data)",
          "tol": "relative objective stop threshold"}
 
 
+@functools.cache  # parsing keeps no state, and building costs more than a parse
 def build_parser() -> _Parser:
     parser = _Parser(prog="attnrec",
                      description="Hybrid recommender over implicit feedback "

@@ -86,11 +86,12 @@ def _rank(s, k, indptr, indices) -> np.ndarray:
         take &= np.cumsum(take, axis=1) <= kk
         rows, pos = np.nonzero(take)
         return _pack(rows, head[pos], n_rows, kk)
-    part = s.copy()
-    part[ex_rows, indices] = -np.inf
-    part.partition(m - kk, axis=1)
-    kth = part[:, m - kk, None].copy()  # the kk-th largest candidate score of each row
-    need = kk - np.count_nonzero(part[:, m - kk:] > kth, axis=1)
+    # Exact either way, but rows of many tied scores partition far faster negated.
+    part = np.negative(s)
+    part[ex_rows, indices] = np.inf
+    part.partition(kk - 1, axis=1)
+    kth = -part[:, kk - 1, None]  # the kk-th largest candidate score of each row
+    need = kk - np.count_nonzero(part[:, :kk] < part[:, kk - 1, None], axis=1)
     del part  # free the block-sized copy before the ranked arrays are built
     take, tie = s > kth, s == kth
     take[ex_rows, indices] = tie[ex_rows, indices] = False
@@ -100,44 +101,51 @@ def _rank(s, k, indptr, indices) -> np.ndarray:
     return _pack(rows, ids[np.lexsort((ids, -s[rows, ids], rows))], n_rows, kk)
 
 
-def _hits(recommended, test_items, k: int, metric: str):
-    """Hit flags of the first k ranked ids, shape (rows, k), and the size of
-    each row's held-out set. Takes one list with its held-out ids, or a
-    block of ids padded with -1 with its held-out rows as a CSR matrix."""
-    ranked = np.asarray(recommended, dtype=np.int64)
+def _hits(recommended, test_items, k, metric: str):
+    """Hit flags of the first max(k) ranked ids, each row's held-out count and
+    the cutoffs as an array; of one list with its held-out ids, or of a block
+    of ids padded with -1 with its held-out rows as a CSR matrix."""
+    ks = np.atleast_1d(k).astype(np.int64)
+    ranked = np.asarray(recommended, dtype=np.int64)[..., :ks.max()]
     if ranked.ndim == 2:
-        ranked = ranked[:, :k]
         held = _member(test_items.indptr, test_items.indices, test_items.shape)
         found = held[np.arange(ranked.shape[0])[:, None], ranked] & (ranked >= 0)
         n_held = np.diff(test_items.indptr)
     else:
         test = np.fromiter({int(x) for x in test_items}, dtype=np.int64)
-        found, n_held = np.isin(ranked[:k], test)[None, :], np.array([test.size])
+        found, n_held = np.isin(ranked, test)[None, :], np.array([test.size])
     if np.any(n_held == 0):
         raise ConfigError(f"{metric} undefined for an empty test set")
-    return np.pad(found, ((0, 0), (0, k - found.shape[1]))), n_held
+    return np.pad(found, ((0, 0), (0, ks.max() - found.shape[1]))), n_held, ks
 
 
-def recall_at_k(recommended, test_items, k: int):
+def _shaped(out, recommended, k):
+    """(rows, cutoffs) values without the axes that an int k or one list lack."""
+    out = out if np.ndim(k) else out[:, 0]
+    return out if np.ndim(recommended) == 2 else out[0] if np.ndim(k) else float(out[0])
+
+
+def recall_at_k(recommended, test_items, k):
     """Fraction of the held-out set found in the first k recommendations:
-    a float for one list, an array with one value per row for a block."""
-    hits, n_held = _hits(recommended, test_items, k, "recall")
-    out = np.count_nonzero(hits, axis=1) / n_held
-    return out if np.ndim(recommended) == 2 else float(out[0])
+    a float for one list, an array with one value per row for a block.
+    A sequence of cutoffs adds a last axis with one value per cutoff, each
+    equal to its int-k value; all are read off one hit matrix."""
+    hits, n_held, ks = _hits(recommended, test_items, k, "recall")
+    return _shaped(np.cumsum(hits, axis=1)[:, ks - 1] / n_held[:, None], recommended, k)
 
 
-def ndcg_at_k(recommended, test_items, k: int):
+def ndcg_at_k(recommended, test_items, k):
     """Positional gain against the best achievable ordering.
 
     Gain at rank i (1-based) is 1/log2(i + 1) when the article is held out.
     The ideal ordering packs all min(|test|, k) hits at the top. Gains are
-    summed in rank order, as a running total would add them.
+    summed in rank order, as a running total would add them, so a sequence
+    of cutoffs reads each off one running total, shaped as in recall_at_k.
     """
-    hits, n_held = _hits(recommended, test_items, k, "nDCG")
-    gains = 1.0 / np.log2(np.arange(2, k + 2))
-    dcg = np.cumsum(hits * gains, axis=1)[:, -1]
-    out = dcg / np.cumsum(gains)[np.minimum(n_held, k) - 1]
-    return out if np.ndim(recommended) == 2 else float(out[0])
+    hits, n_held, ks = _hits(recommended, test_items, k, "nDCG")
+    gains = 1.0 / np.log2(np.arange(2, ks.max() + 2))
+    dcg = np.cumsum(hits * gains, axis=1)[:, ks - 1]
+    return _shaped(dcg / np.cumsum(gains)[np.minimum(n_held[:, None], ks) - 1], recommended, k)
 
 
 @dataclass
@@ -174,9 +182,8 @@ def evaluate(score_fn, r_train: InteractionMatrix, r_test: InteractionMatrix,
         block = users[start:start + step]
         ranked = top_k(score_fn(block), ks[-1], exclude=r_train.matrix[block])
         held = r_test.matrix[block]
-        for j, k in enumerate(ks):
-            values[start:start + block.size, 0, j] = recall_at_k(ranked, held, k)
-            values[start:start + block.size, 1, j] = ndcg_at_k(ranked, held, k)
+        values[start:start + block.size, 0] = recall_at_k(ranked, held, ks)
+        values[start:start + block.size, 1] = ndcg_at_k(ranked, held, ks)
     sums = np.cumsum(values, axis=0)[-1] / users.size  # summed in user order
     return [MetricReport(variant, setting, split, k, float(sums[0, j]),
                          float(sums[1, j]), int(users.size))

@@ -2,6 +2,8 @@ import csv
 import json
 import logging
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -753,3 +755,31 @@ def test_pop_on_damaged_interactions_exits_2(workspace, capsys):
         err = _refused(capsys, _args(command, data, runs, "--variant", "pop", *more),
                        split, interactions)
         assert "124" in err
+
+
+def test_one_parser_serves_every_call_without_carrying_values(workspace, tmp_path,
+                                                              monkeypatch):
+    data, runs = workspace
+    args = lambda cmd, out, *extra: [cmd, "--data-dir", str(data), "--out-dir", str(out),
+                                     "--variant", "wrmf", "--p", "1", "--d", "6",
+                                     "--n-splits", "2", "--splits", "1", "--max-sweeps", "4",
+                                     "--ks", "5", "--seed", "3", *extra]
+    assert cli.build_parser() is cli.build_parser()
+    seen, real = [], cli.cmd_train
+    monkeypatch.setattr(cli, "cmd_train",
+                        lambda config, a: seen.append(config.lambda_v) or real(config, a))
+    assert cli.main(args("preprocess", runs)) == 0
+    assert cli.main(args("train", runs, "--lambda-v", "10", "--no-such-flag")) == 1
+    assert cli.main(args("train", runs, "--lambda-v", "10")) == 0
+    assert cli.main(args("train", runs)) == 0
+    assert seen == [10.0, 0.1] and cli.ExperimentConfig().lambda_v == 0.1
+    # the same two commands, each in a process of its own
+    fresh = tmp_path / "fresh"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for cmd in ("preprocess", "train"):
+        subprocess.run([sys.executable, "-m", "attnrec.cli", *args(cmd, fresh)],
+                       check=True, env=env)
+    trained = _single_run_dir(fresh, "train-")
+    assert (runs / trained.name).is_dir()
+    assert _tree(runs / trained.name) == _tree(trained)

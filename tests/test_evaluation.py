@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import _eval_reference as ref
-from attnrec import cli
+from attnrec import cf, cli
 from attnrec import evaluation as ev
 from attnrec.corpus import InteractionMatrix
 from attnrec.errors import ConfigError, NumericalError
@@ -291,3 +291,95 @@ def test_evaluate_equals_per_user_reference(monkeypatch, block_scores):
                 == ref.evaluate(lambda i: tied[i], train, test, ks))
         assert (ev.evaluate(lambda users: shared, train, test, ks)
                 == ref.evaluate(lambda i: shared, train, test, ks))
+
+
+@pytest.mark.parametrize("ks", [[1, 3, 7], [2, 25], [5, 40]])   # 40 > 25 articles
+def test_cutoff_sequence_equals_each_int_cutoff(ks):
+    rng = np.random.default_rng(len(ks) + ks[-1])
+    n, m = 6, 25
+    ranked = np.array([rng.permutation(m) for _ in range(n)])
+    ranked[2, 10:] = -1                      # rows with fewer candidates
+    ranked[4, 1:] = -1
+    member = rng.random((n, m)) < 0.3
+    member[:, 3] = True
+    held = sparse.csr_matrix(member)
+    recall, ndcg = ev.recall_at_k(ranked, held, ks), ev.ndcg_at_k(ranked, held, ks)
+    assert recall.shape == ndcg.shape == (n, len(ks))
+    for j, k in enumerate(ks):
+        assert (recall[:, j] == ev.recall_at_k(ranked, held, k)).all()
+        assert (ndcg[:, j] == ev.ndcg_at_k(ranked, held, k)).all()
+    for i in range(n):
+        ids, test = ranked[i][ranked[i] >= 0], np.flatnonzero(member[i])
+        one_recall, one_ndcg = ev.recall_at_k(ids, test, ks), ev.ndcg_at_k(ids, test, ks)
+        assert one_recall.shape == one_ndcg.shape == (len(ks),)
+        for j, k in enumerate(ks):
+            r, g = ev.recall_at_k(ids, test, k), ev.ndcg_at_k(ids, test, k)
+            assert type(r) is float and type(g) is float
+            assert one_recall[j] == r == recall[i, j] == ref.recall_at_k(ids, test, k)
+            assert one_ndcg[j] == g == ndcg[i, j] == ref.ndcg_at_k(ids, test, k)
+
+
+# (k, articles scored above the tie block): the block of 24 tied scores out of
+# 40 lies wholly above the k-th position, straddles it, or lies below it; the
+# last case asks for more than any row's candidates.
+@pytest.mark.parametrize("k, n_above", [(30, 0), (12, 4), (20, 10), (4, 10), (45, 3)])
+def test_top_k_on_rows_mostly_of_one_tied_score(k, n_above):
+    rng = np.random.default_rng([k, n_above])
+    n, m, n_tied = 8, 40, 24
+    block = np.empty((n, m))
+    excluded = []
+    for i in range(n):
+        cols = rng.permutation(m)
+        tied, rest = cols[:n_tied], cols[n_tied:]
+        block[i, tied] = rng.choice([0.0, -0.0], size=n_tied)   # -0.0 == 0.0 ties too
+        block[i, rest[:n_above]] = rng.permutation(np.arange(1.0, n_above + 1))
+        block[i, rest[n_above:]] = -rng.permutation(np.arange(1.0, m - n_tied - n_above + 1))
+        # exclusions inside the tie block, and a few elsewhere
+        excluded.append(np.sort(np.concatenate([rng.choice(tied, size=rng.integers(0, 6),
+                                                           replace=False),
+                                                rng.choice(rest, size=rng.integers(0, 3),
+                                                           replace=False)])))
+    exclude = sparse.csr_matrix(
+        (np.ones(sum(map(len, excluded))), np.concatenate(excluded).astype(int),
+         np.cumsum([0] + [len(e) for e in excluded])), shape=(n, m))
+    got = ev.top_k(block, k, exclude=exclude)
+    assert got.shape == (n, min(k, m))
+    for i in range(n):
+        want = ref.top_k(block[i], k, exclude=excluded[i]).tolist()
+        assert got[i].tolist() == want + [-1] * (got.shape[1] - len(want))
+
+
+@pytest.mark.parametrize("block_scores", [1, 300, 1 << 18])
+def test_evaluate_wrmf_with_cold_articles_equals_reference(monkeypatch, block_scores):
+    # At P = 1 most articles have no training save, so ALS gives them all one
+    # shared factor row and each user's scores are mostly one tied value.
+    monkeypatch.setattr(ev, "BLOCK_SCORES", block_scores)
+    rng = np.random.default_rng(12)
+    r = _random_matrix(rng, 30, 80, 0.08)
+    train, test = ev.make_split(r, 1, np.random.default_rng(1))
+    model = cf.init_model(30, 80, 4, lambda_u=0.1, lambda_v=0.1, seed=2)
+    cf.train_als(train, model, np.zeros_like(model.V), max_sweeps=3)
+    cold = train.item_counts() == 0
+    assert cold.sum() > 40 and np.unique(model.V[cold], axis=0).shape[0] == 1
+    scores = cf.predict_scores(model, np.arange(30))
+    for ks in ([1, 5, 10], [20, 60], [50, 100]):        # 100 > n_articles
+        assert (ev.evaluate(lambda users: scores[users], train, test, ks)
+                == ref.evaluate(lambda i: scores[i], train, test, ks))
+
+
+def test_evaluate_computes_each_metric_once_per_block(monkeypatch):
+    monkeypatch.setattr(ev, "BLOCK_SCORES", 200)
+    rng = np.random.default_rng(13)
+    r = _random_matrix(rng, 30, 25, 0.3)
+    train, test = ev.make_split(r, 2, np.random.default_rng(1))
+    calls = {"top_k": [], "recall_at_k": [], "ndcg_at_k": []}
+    for name, seen in calls.items():
+        real = getattr(ev, name)
+        monkeypatch.setattr(ev, name, lambda *a, real=real, seen=seen, **kw:
+                            seen.append(a[2] if len(a) > 2 else kw) or real(*a, **kw))
+    scores = rng.random((30, 25))
+    reports = ev.evaluate(lambda users: scores[users], train, test, [10, 5, 20])
+    assert [rep.k for rep in reports] == [5, 10, 20]
+    blocks = len(calls["top_k"])
+    assert blocks > 1
+    assert calls["recall_at_k"] == calls["ndcg_at_k"] == [[5, 10, 20]] * blocks
