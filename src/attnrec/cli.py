@@ -377,9 +377,10 @@ def _preprocess(config: ExperimentConfig, tmp: str) -> dict:
 
     if "tag" in config.autoencoders:
         assignments = load_tag_assignments(os.path.join(raw, "tags.dat"),
-                                           counted=config.tags_format == "counted")
+                                           counted=config.tags_format == "counted",
+                                           n_articles=n_articles)
         citations = load_citations(os.path.join(raw, "citations.dat"),
-                                   fmt=config.citations_format)
+                                   fmt=config.citations_format, n_articles=n_articles)
         tag_matrix = build_tag_matrix(assignments, citations,
                                       config.min_articles_per_tag,
                                       n_articles=n_articles)

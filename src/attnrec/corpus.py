@@ -8,10 +8,12 @@ with one-hop citation propagation.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,31 @@ from scipy import sparse
 
 from . import storage
 from .errors import BoundsError, DataError, ParseError
+
+
+# --------------------------------------------------------------------------
+# sparse kernels
+# --------------------------------------------------------------------------
+
+def _csr(rows, cols, shape, vals=None) -> sparse.csr_matrix:
+    """Sorted CSR of (row, col) cells. Without ``vals`` it is binary, so a
+    repeated cell holds 1.0; with them a repeated cell holds their sum."""
+    data = np.ones(len(rows)) if vals is None else vals
+    mat = sparse.csr_matrix((data, (rows, cols)), shape=shape)
+    mat.sum_duplicates()
+    if vals is None:
+        mat.data[:] = 1.0
+    return mat
+
+
+def _row_max_normalised(mat: sparse.csr_matrix) -> sparse.csr_matrix:
+    """Divide each stored value by its row's maximum, in place.
+
+    A true division, not a product with the reciprocal, so each value is
+    exactly count / peak.
+    """
+    mat.data /= np.repeat(mat.max(axis=1).toarray().ravel(), np.diff(mat.indptr))
+    return mat
 
 
 # --------------------------------------------------------------------------
@@ -57,19 +84,11 @@ class InteractionMatrix:
 
     @classmethod
     def from_pairs(cls, users, articles, n_users: int, n_articles: int) -> "InteractionMatrix":
-        users = np.asarray(users, dtype=np.int64)
-        articles = np.asarray(articles, dtype=np.int64)
-        if users.size and (users.min() < 0 or users.max() >= n_users):
-            raise BoundsError("user index out of range")
-        if articles.size and (articles.min() < 0 or articles.max() >= n_articles):
-            raise BoundsError("article index out of range")
-        mat = sparse.csr_matrix(
-            (np.ones(users.size), (users, articles)), shape=(n_users, n_articles)
-        )
-        mat.sum_duplicates()
-        mat.data[:] = 1.0  # duplicates collapse back to binary preference
-        mat.sort_indices()
-        return cls(mat)
+        for what, ids, limit in (("user", users, n_users), ("article", articles, n_articles)):
+            ids = np.asarray(ids, dtype=np.int64)
+            if ids.size and (ids.min() < 0 or ids.max() >= limit):
+                raise BoundsError(f"{what} index out of range")
+        return cls(_csr(users, articles, (n_users, n_articles)))
 
     def save(self, path):
         storage.write_interactions(path, self.matrix)
@@ -136,15 +155,9 @@ class Vocabulary:
     doc_freq: np.ndarray
     max_tf: np.ndarray
     scores: np.ndarray
-    _index: dict = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    def index(self) -> dict:
-        if self._index is None:
-            self._index = {tok: i for i, tok in enumerate(self.tokens)}
-        return self._index
 
     def save(self, path):
         lines = ["token\tdoc_freq\tmax_tf\tscore"]
@@ -153,19 +166,6 @@ class Vocabulary:
                 f"{tok}\t{int(self.doc_freq[i])}\t{int(self.max_tf[i])}\t{float(self.scores[i])!r}"
             )
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    @classmethod
-    def load(cls, path) -> "Vocabulary":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        tokens, dfs, tfs, scores = [], [], [], []
-        for line in lines[1:]:
-            tok, df, tf, score = line.split("\t")
-            tokens.append(tok)
-            dfs.append(int(df))
-            tfs.append(int(tf))
-            scores.append(float(score))
-        return cls(tokens, np.array(dfs, dtype=np.int64),
-                   np.array(tfs, dtype=np.int64), np.array(scores, dtype=np.float64))
 
 
 # --------------------------------------------------------------------------
@@ -183,46 +183,79 @@ def load_stop_words(path=None) -> frozenset:
 
 def tokenize(text: str) -> list:
     """Lowercase and keep maximal alphabetic runs; digits and punctuation split."""
-    tokens = []
-    word = []
-    for ch in text.lower():
-        if "a" <= ch <= "z":
-            word.append(ch)
-        elif word:
-            tokens.append("".join(word))
-            word = []
-    if word:
-        tokens.append("".join(word))
-    return tokens
+    return re.findall("[a-z]+", text.lower())
 
 
 def read_raw_docs(path) -> list:
     """One document (title+abstract already concatenated) per line."""
-    docs = []
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            docs.append(tokenize(line))
-    return docs
+        return [tokenize(line) for line in handle]
 
 
 # --------------------------------------------------------------------------
 # file loaders
 # --------------------------------------------------------------------------
 
-def _parse_counted_line(parts, lineno: int, path) -> list:
-    """Parse 'count id id ...' and validate the declared count."""
+def _ints(tokens) -> np.ndarray:
+    """Integer tokens as int64, each parsed as by ``int``."""
+    return np.fromiter(tokens, dtype=np.int64, count=len(tokens))
+
+
+def _term_counts(tokens) -> np.ndarray:
+    """Mult 'term:count' tokens as [term, count, term, count, ...]."""
+    if not set(map(str.count, tokens, repeat(":"))) <= {1}:
+        raise ValueError("an entry is not term:count")
+    values = _ints(":".join(tokens).split(":") if tokens else [])
+    if values[1::2].min(initial=1) <= 0:
+        raise ValueError("a term count is not positive")
+    return values
+
+
+def _lines(path, counted: bool, parse=_ints) -> tuple:
+    """The ids of a file whose line i+1 lists the ids of row i: the row of
+    each token, ``parse`` of all tokens, and the token count of each line.
+
+    A ``counted`` line opens with the number of tokens that follow, so it
+    may not be empty. Every error is a ParseError naming the file and line.
+    """
+    sizes, tokens = [], []
+    with open(path, encoding="utf-8") as handle:
+        for line in handle:
+            parts = line.split()
+            try:
+                if counted:
+                    if not parts:
+                        raise ValueError("empty line")
+                    declared, parts = int(parts[0]), parts[1:]
+                    if declared != len(parts):
+                        raise ValueError(f"declared {declared} ids but found {len(parts)}")
+            except ValueError as exc:
+                raise ParseError(f"{path}: line {len(sizes) + 1}: {exc}") from None
+            tokens += parts
+            sizes.append(len(parts))
     try:
-        values = [int(p) for p in parts]
-    except ValueError:
-        raise ParseError(f"{path}: line {lineno}: non-integer token") from None
-    count, ids = values[0], values[1:]
-    if count != len(ids):
-        raise ParseError(
-            f"{path}: line {lineno}: declared {count} ids but found {len(ids)}"
-        )
-    if any(i < 0 for i in ids):
-        raise ParseError(f"{path}: line {lineno}: negative index")
-    return ids
+        values = parse(tokens)
+    except (ValueError, OverflowError):  # parse again line by line to name the line
+        ends = np.cumsum(sizes)
+        for lineno, (start, end) in enumerate(zip(ends - sizes, ends), start=1):
+            try:
+                parse(tokens[start:end])
+            except (ValueError, OverflowError) as exc:
+                raise ParseError(f"{path}: line {lineno}: {exc}") from None
+    return np.repeat(np.arange(len(sizes)), sizes), values, sizes
+
+
+def _bound(path, rows, ids, limit, what) -> int:
+    """``limit``, or max id + 1 when it is None. A negative id, or one at
+    or past ``limit``, is a BoundsError naming the file and the line
+    (row + 1) holding it."""
+    if limit is None:
+        limit = int(ids.max()) + 1 if ids.size else 0
+    bad = np.flatnonzero((ids < 0) | (ids >= limit))
+    if bad.size:
+        raise BoundsError(f"{path}: line {rows[bad[0]] + 1}: {what} {ids[bad[0]]} "
+                          f"out of range for {limit} {what}s")
+    return limit
 
 
 def load_interactions(path, n_articles: int | None = None) -> InteractionMatrix:
@@ -230,30 +263,11 @@ def load_interactions(path, n_articles: int | None = None) -> InteractionMatrix:
 
     When ``n_articles`` is omitted it is inferred as max article id + 1.
     """
-    users, articles = [], []
-    n_lines = 0
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            parts = line.split()
-            if not parts:
-                raise ParseError(f"{path}: line {lineno}: empty line")
-            ids = _parse_counted_line(parts, lineno, path)
-            n_lines += 1
-            for article in ids:
-                users.append(lineno - 1)
-                articles.append(article)
-    if n_lines == 0:
+    users, articles, sizes = _lines(path, True)
+    if not sizes:
         raise DataError(f"{path}: no users")
-    articles_arr = np.array(articles, dtype=np.int64)
-    if n_articles is None:
-        n_articles = int(articles_arr.max()) + 1 if articles_arr.size else 0
-    elif articles_arr.size and articles_arr.max() >= n_articles:
-        raise BoundsError(
-            f"{path}: article index {int(articles_arr.max())} >= declared count {n_articles}"
-        )
-    return InteractionMatrix.from_pairs(
-        np.array(users, dtype=np.int64), articles_arr, n_lines, n_articles
-    )
+    n_articles = _bound(path, users, articles, n_articles, "article")
+    return InteractionMatrix.from_pairs(users, articles, len(sizes), n_articles)
 
 
 def load_mult_content(path, vocab_size: int | None = None) -> ContentMatrix:
@@ -261,116 +275,49 @@ def load_mult_content(path, vocab_size: int | None = None) -> ContentMatrix:
 
     Counts are max-normalized per row into (0, 1].
     """
-    rows, cols, vals = [], [], []
-    n_rows = 0
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            parts = line.split()
-            if not parts:
-                raise ParseError(f"{path}: line {lineno}: empty line")
-            try:
-                declared = int(parts[0])
-            except ValueError:
-                raise ParseError(f"{path}: line {lineno}: bad term count") from None
-            entries = parts[1:]
-            if declared != len(entries):
-                raise ParseError(
-                    f"{path}: line {lineno}: declared {declared} terms but found {len(entries)}"
-                )
-            counts = {}
-            for entry in entries:
-                try:
-                    term, count = entry.split(":")
-                    term, count = int(term), int(count)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: line {lineno}: bad term:count entry {entry!r}"
-                    ) from None
-                if term < 0 or count <= 0:
-                    raise ParseError(f"{path}: line {lineno}: bad entry {entry!r}")
-                counts[term] = counts.get(term, 0) + count
-            if counts:
-                peak = max(counts.values())
-                for term, count in counts.items():
-                    rows.append(lineno - 1)
-                    cols.append(term)
-                    vals.append(count / peak)
-            n_rows = lineno
-    if n_rows == 0:
+    articles, values, sizes = _lines(path, True, _term_counts)
+    if not sizes:
         raise DataError(f"{path}: no articles")
-    cols_arr = np.array(cols, dtype=np.int64)
-    if vocab_size is None:
-        vocab_size = int(cols_arr.max()) + 1 if cols_arr.size else 0
-    elif cols_arr.size and cols_arr.max() >= vocab_size:
-        raise BoundsError(
-            f"{path}: term index {int(cols_arr.max())} >= declared vocab size {vocab_size}"
-        )
-    mat = sparse.csr_matrix(
-        (np.array(vals, dtype=np.float64), (np.array(rows, dtype=np.int64), cols_arr)),
-        shape=(n_rows, vocab_size),
-    )
-    mat.sort_indices()
-    return ContentMatrix(mat)
+    terms, counts = values.reshape(-1, 2).T
+    vocab_size = _bound(path, articles, terms, vocab_size, "term")
+    return ContentMatrix(_row_max_normalised(
+        _csr(articles, terms, (len(sizes), vocab_size), counts.astype(np.float64))))
 
 
-def load_tag_assignments(path, counted: bool = False) -> list:
+def load_tag_assignments(path, counted: bool = False,
+                         n_articles: int | None = None) -> list:
     """Read a tags file (line i = article i's tag ids) into (article, tag) pairs.
 
     ``counted=True`` reads the 'count tag tag ...' variant used by the
-    CiteULike item-tag files.
+    CiteULike item-tag files. Given ``n_articles``, a tagged line past the
+    last article is a BoundsError.
     """
-    pairs = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            parts = line.split()
-            if counted:
-                if not parts:
-                    raise ParseError(f"{path}: line {lineno}: empty line")
-                ids = _parse_counted_line(parts, lineno, path)
-            else:
-                try:
-                    ids = [int(p) for p in parts]
-                except ValueError:
-                    raise ParseError(f"{path}: line {lineno}: non-integer tag id") from None
-                if any(i < 0 for i in ids):
-                    raise ParseError(f"{path}: line {lineno}: negative tag id")
-            for tag in ids:
-                pairs.append((lineno - 1, tag))
-    return pairs
+    articles, tags, _ = _lines(path, counted)
+    _bound(path, articles, articles, n_articles, "article")
+    _bound(path, articles, tags, None, "tag")
+    return list(zip(articles.tolist(), tags.tolist()))
 
 
-def load_citations(path, fmt: str = "pairs") -> list:
+def load_citations(path, fmt: str = "pairs", n_articles: int | None = None) -> list:
     """Read citation edges as (citing, cited) pairs.
 
     ``fmt='pairs'`` expects one 'citing cited' pair per line; ``fmt='adjacency'``
-    expects line i to hold 'count cited_id ...' for citing article i.
+    expects line i to hold 'count cited_id ...' for citing article i. Given
+    ``n_articles``, an edge naming an article past the last is a BoundsError.
     """
     if fmt not in ("pairs", "adjacency"):
         raise ValueError(f"unknown citations format {fmt!r}")
-    edges = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            parts = line.split()
-            if fmt == "adjacency":
-                if not parts:
-                    raise ParseError(f"{path}: line {lineno}: empty line")
-                for cited in _parse_counted_line(parts, lineno, path):
-                    edges.append((lineno - 1, cited))
-                continue
-            if not parts:
-                continue
-            if len(parts) != 2:
-                raise ParseError(
-                    f"{path}: line {lineno}: expected 'citing cited', got {len(parts)} tokens"
-                )
-            try:
-                citing, cited = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(f"{path}: line {lineno}: non-integer article id") from None
-            if citing < 0 or cited < 0:
-                raise ParseError(f"{path}: line {lineno}: negative article id")
-            edges.append((citing, cited))
-    return edges
+    adjacency = fmt == "adjacency"
+    lines, ids, sizes = _lines(path, adjacency)
+    if not adjacency and not set(sizes) <= {0, 2}:
+        lineno, size = next((i, n) for i, n in enumerate(sizes, start=1) if n not in (0, 2))
+        raise ParseError(f"{path}: line {lineno}: expected 'citing cited', got {size} tokens")
+    _bound(path, lines, ids, n_articles, "article")
+    if adjacency:
+        _bound(path, lines, lines, n_articles, "article")
+        return list(zip(lines.tolist(), ids.tolist()))
+    pairs = iter(ids.tolist())
+    return list(zip(pairs, pairs))
 
 
 # --------------------------------------------------------------------------
@@ -391,15 +338,14 @@ def select_vocabulary(raw_docs: list, stop_words, top_n: int) -> Vocabulary:
     max_tf = Counter()
     for doc in raw_docs:
         counts = Counter(tok for tok in doc if tok not in stop_words)
+        doc_freq.update(counts.keys())
         for tok, count in counts.items():
-            doc_freq[tok] += 1
             if count > max_tf[tok]:
                 max_tf[tok] = count
-    candidates = sorted(doc_freq)
-    if not candidates:
+    if not doc_freq:
         raise DataError("no candidate tokens after stop-word removal")
     scored = [
-        (max_tf[tok] * math.log(n_docs / doc_freq[tok]), tok) for tok in candidates
+        (max_tf[tok] * math.log(n_docs / doc_freq[tok]), tok) for tok in doc_freq
     ]
     scored.sort(key=lambda pair: (-pair[0], pair[1]))
     if len(scored) < top_n:
@@ -424,24 +370,12 @@ def build_bow(raw_docs: list, vocab: Vocabulary) -> ContentMatrix:
     """
     if len(vocab) == 0:
         raise ValueError("vocabulary is empty")
-    index = vocab.index()
-    rows, cols, vals = [], [], []
-    for doc_id, doc in enumerate(raw_docs):
-        counts = Counter(index[tok] for tok in doc if tok in index)
-        if not counts:
-            continue
-        peak = max(counts.values())
-        for col, count in counts.items():
-            rows.append(doc_id)
-            cols.append(col)
-            vals.append(count / peak)
-    mat = sparse.csr_matrix(
-        (np.array(vals, dtype=np.float64),
-         (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
-        shape=(len(raw_docs), len(vocab)),
-    )
-    mat.sort_indices()
-    return ContentMatrix(mat)
+    index = {tok: i for i, tok in enumerate(vocab.tokens)}
+    rows = [[index[tok] for tok in doc if tok in index] for doc in raw_docs]
+    docs = np.repeat(np.arange(len(rows)), list(map(len, rows)))
+    cols = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=docs.size)
+    return ContentMatrix(_row_max_normalised(
+        _csr(docs, cols, (len(raw_docs), len(vocab)), np.ones(cols.size))))
 
 
 def build_tag_matrix(assignments: list, citations: list, min_articles_per_tag: int,
@@ -449,54 +383,24 @@ def build_tag_matrix(assignments: list, citations: list, min_articles_per_tag: i
                      n_tags: int | None = None) -> TagMatrix:
     """Filter rare tags, then propagate tags one hop along citation edges.
 
-    Tags assigned to fewer than ``min_articles_per_tag`` distinct articles are
-    dropped before propagation. Each citation (x, y) unions the
-    pre-propagation tag row of y into the row of x; propagation is not
-    transitive.
+    Tags assigned to fewer than ``min_articles_per_tag`` distinct articles
+    (and tags no article carries) are dropped before propagation. Each
+    citation (x, y) unions the pre-propagation tag row of y into the row of
+    x; propagation is not transitive.
     """
+    pairs = np.asarray(assignments, dtype=np.int64).reshape(-1, 2)
+    edges = np.asarray(citations, dtype=np.int64).reshape(-1, 2)
     if n_articles is None:
-        ids = [a for a, _ in assignments] + [i for edge in citations for i in edge]
-        n_articles = max(ids) + 1 if ids else 0
+        n_articles = int(max(pairs[:, 0].max(initial=-1), edges.max(initial=-1))) + 1
     if n_tags is None:
-        n_tags = max((t for _, t in assignments), default=-1) + 1
+        n_tags = int(pairs[:, 1].max(initial=-1)) + 1
+    for what, cells, limits in (("tag assignment", pairs, (n_articles, n_tags)),
+                                ("citation", edges, (n_articles, n_articles))):
+        bad = cells[((cells < 0) | (cells >= limits)).any(axis=1)]
+        if bad.size:
+            raise BoundsError(f"{what} ({bad[0, 0]}, {bad[0, 1]}) out of range")
 
-    articles_per_tag = {}
-    for article, tag in set(assignments):
-        if article < 0 or article >= n_articles:
-            raise BoundsError(f"article index {article} out of range")
-        if tag < 0 or tag >= n_tags:
-            raise BoundsError(f"tag index {tag} out of range")
-        articles_per_tag.setdefault(tag, set()).add(article)
-
-    kept = sorted(
-        tag for tag, members in articles_per_tag.items()
-        if len(members) >= min_articles_per_tag
-    )
-    remap = {tag: col for col, tag in enumerate(kept)}
-
-    base_rows = [set() for _ in range(n_articles)]
-    for tag, members in articles_per_tag.items():
-        col = remap.get(tag)
-        if col is None:
-            continue
-        for article in members:
-            base_rows[article].add(col)
-
-    final_rows = [set(row) for row in base_rows]
-    for citing, cited in citations:
-        if not (0 <= citing < n_articles and 0 <= cited < n_articles):
-            raise BoundsError(f"citation ({citing}, {cited}) references unknown article")
-        final_rows[citing] |= base_rows[cited]
-
-    rows, cols = [], []
-    for article, tags in enumerate(final_rows):
-        for col in sorted(tags):
-            rows.append(article)
-            cols.append(col)
-    mat = sparse.csr_matrix(
-        (np.ones(len(rows), dtype=np.float64),
-         (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
-        shape=(n_articles, len(kept)),
-    )
-    mat.sort_indices()
-    return TagMatrix(mat)
+    base = _csr(pairs[:, 0], pairs[:, 1], (n_articles, n_tags))
+    base = base[:, np.bincount(base.indices, minlength=n_tags) >= max(min_articles_per_tag, 1)]
+    cites = _csr(edges[:, 0], edges[:, 1], (n_articles, n_articles))
+    return TagMatrix(_csr(*(base + cites @ base).nonzero(), base.shape))

@@ -1,0 +1,71 @@
+"""Per-row reference implementations of the corpus builders.
+
+These are the loop versions that ``attnrec.corpus`` replaced with sparse
+kernels: a tag builder that filters and propagates through Python sets
+article by article, and a row-max normalisation over one ``Counter`` per
+row. The tests require the sparse code to give exactly the same matrices.
+"""
+
+from collections import Counter
+
+import numpy as np
+from scipy import sparse
+
+
+def build_tag_matrix(assignments, citations, min_articles_per_tag, n_articles, n_tags):
+    articles_per_tag = {}
+    for article, tag in set(assignments):
+        articles_per_tag.setdefault(tag, set()).add(article)
+
+    kept = sorted(tag for tag, members in articles_per_tag.items()
+                  if len(members) >= min_articles_per_tag)
+    remap = {tag: col for col, tag in enumerate(kept)}
+
+    base_rows = [set() for _ in range(n_articles)]
+    for tag, members in articles_per_tag.items():
+        col = remap.get(tag)
+        if col is None:
+            continue
+        for article in members:
+            base_rows[article].add(col)
+
+    final_rows = [set(row) for row in base_rows]
+    for citing, cited in citations:
+        final_rows[citing] |= base_rows[cited]
+
+    rows, cols = [], []
+    for article, tags in enumerate(final_rows):
+        for col in sorted(tags):
+            rows.append(article)
+            cols.append(col)
+    mat = sparse.csr_matrix(
+        (np.ones(len(rows), dtype=np.float64),
+         (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
+        shape=(n_articles, len(kept)),
+    )
+    mat.sort_indices()
+    return mat
+
+
+def row_max_normalised(rows, n_cols):
+    """CSR of per-row ``(col, count)`` lists: the counts of each column are
+    summed, then divided by the row's largest sum."""
+    data_rows, cols, vals = [], [], []
+    for row, cells in enumerate(rows):
+        counts = Counter()
+        for col, count in cells:
+            counts[col] += count
+        if not counts:
+            continue
+        peak = max(counts.values())
+        for col, count in counts.items():
+            data_rows.append(row)
+            cols.append(col)
+            vals.append(count / peak)
+    mat = sparse.csr_matrix(
+        (np.array(vals, dtype=np.float64),
+         (np.array(data_rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
+        shape=(len(rows), n_cols),
+    )
+    mat.sort_indices()
+    return mat

@@ -783,3 +783,19 @@ def test_one_parser_serves_every_call_without_carrying_values(workspace, tmp_pat
     trained = _single_run_dir(fresh, "train-")
     assert (runs / trained.name).is_dir()
     assert _tree(runs / trained.name) == _tree(trained)
+
+
+@pytest.mark.parametrize("name, line, message", [
+    ("tags.dat", "1 2\n", "article 60 out of range for 60 articles"),
+    ("citations.dat", "59 75\n", "article 75 out of range for 60 articles"),
+])
+def test_out_of_range_tag_or_citation_line_names_its_file(workspace, capsys, name, line,
+                                                          message):
+    data, runs = workspace
+    path = data / name
+    n_lines = len(path.read_text().splitlines())
+    with open(path, "a") as fh:
+        fh.write(line)
+    err = _refused(capsys, _args("preprocess", data, runs), path, message)
+    assert f"{path}: line {n_lines + 1}: {message}" in err
+    assert not list(runs.glob("preprocess-*"))

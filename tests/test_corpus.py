@@ -3,7 +3,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import _corpus_reference as ref
 from attnrec import corpus
 from attnrec.errors import BoundsError, DataError, ParseError
 
@@ -67,10 +70,11 @@ def test_vocabulary_roundtrip(tmp_path):
     vocab = corpus.select_vocabulary(docs, frozenset(), 3)
     path = tmp_path / "vocab.tsv"
     vocab.save(path)
-    again = corpus.Vocabulary.load(path)
-    assert again.tokens == vocab.tokens
-    assert np.allclose(again.scores, vocab.scores)
-    assert again.index()["apple"] == vocab.index()["apple"]
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    assert header == "token\tdoc_freq\tmax_tf\tscore"
+    fields = [row.split("\t") for row in rows]
+    assert [f[0] for f in fields] == vocab.tokens == ["cherry", "banana", "apple"]
+    assert [float(f[3]) for f in fields] == vocab.scores.tolist()
 
 
 def test_load_interactions_counted_format(tmp_path):
@@ -142,6 +146,55 @@ def test_load_citations_pairs_and_adjacency(tmp_path):
     assert corpus.load_citations(adjacency, fmt="adjacency") == [(0, 2), (3, 0)]
 
 
+@pytest.mark.parametrize("load, text, message", [
+    (corpus.load_interactions, "2 1 2\n\n", "line 2: empty line"),
+    (corpus.load_interactions, "1 1\n2 1 x\n", "line 2: invalid literal"),
+    (corpus.load_interactions, "1 2\n1 99999999999999999999\n", "line 2: .*too large"),
+    (corpus.load_mult_content, "1 0:2\n1 3:0\n", "line 2: a term count is not positive"),
+    (corpus.load_mult_content, "1 0:2\n2 0:2:1 4\n", "line 2: an entry is not term:count"),
+    (corpus.load_mult_content, "1 :2\n", "line 1: invalid literal"),
+    (corpus.load_mult_content, "2 0:2\n", "line 1: declared 2 ids but found 1"),
+    (lambda path: corpus.load_tag_assignments(path, counted=True), "0\n\n", "line 2: empty"),
+    (corpus.load_citations, "0 1\n\n2 3 4\n", "line 3: expected 'citing cited', got 3"),
+    (lambda path: corpus.load_citations(path, fmt="adjacency"), "1\n", "line 1: declared 1"),
+])
+def test_every_parse_error_names_the_file_and_line(tmp_path, load, text, message):
+    path = tmp_path / "input.dat"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"input\\.dat: {message}"):
+        load(path)
+
+
+@pytest.mark.parametrize("load, text, message", [
+    (corpus.load_interactions, "1 0\n2 1 3\n", "line 2: article 3 out of range for 3"),
+    (corpus.load_mult_content, "1 0:1\n0\n1 5:2\n", "line 3: term 5 out of range for 3"),
+    (corpus.load_tag_assignments, "1\n\n\n\n4 5\n", "line 5: article 4 out of range"),
+    (corpus.load_citations, "0 1\n\n2 3\n", "line 3: article 3 out of range"),
+    (lambda path, **kw: corpus.load_citations(path, fmt="adjacency", **kw),
+     "0\n0\n0\n1 0\n", "line 4: article 3 out of range"),
+])
+def test_out_of_range_ids_name_the_file_and_line(tmp_path, load, text, message):
+    path = tmp_path / "input.dat"
+    path.write_text(text)
+    limit = {corpus.load_mult_content: "vocab_size"}.get(load, "n_articles")
+    with pytest.raises(BoundsError, match=f"input\\.dat: {message}"):
+        load(path, **{limit: 3})
+    load(path)  # without a limit every id is in range
+
+
+@pytest.mark.parametrize("load, text, message", [
+    (corpus.load_interactions, "1 2\n1 -3\n", "line 2: article -3 out of range"),
+    (corpus.load_mult_content, "1 0:2\n0\n1 -2:3\n", "line 3: term -2 out of range"),
+    (corpus.load_tag_assignments, "1 2\n3 -1\n", "line 2: tag -1 out of range"),
+    (corpus.load_citations, "0 1\n-2 3\n", "line 2: article -2 out of range"),
+])
+def test_negative_ids_name_the_file_and_line(tmp_path, load, text, message):
+    path = tmp_path / "input.dat"
+    path.write_text(text)
+    with pytest.raises(BoundsError, match=f"input\\.dat: {message}"):
+        load(path)
+
+
 def test_build_tag_matrix_hand_oracle():
     # tag 0 touches articles {0, 1} and survives min=2; tags 1 and 2 drop.
     # Citation (0, 2) adds nothing; (3, 0) copies tag 0 onto article 3.
@@ -181,9 +234,63 @@ def test_interaction_matrix_roundtrip(tmp_path):
     assert again.item_counts().tolist() == [1, 1, 1]
 
 
+def test_repeated_pairs_stay_binary():
+    r = corpus.InteractionMatrix.from_pairs([1, 0, 1, 1], [2, 0, 2, 2], 2, 3)
+    assert r.matrix.data.tolist() == [1.0, 1.0]
+    assert r.user_items(1).tolist() == [2]
+
+
 def test_interaction_cache_bad_article_names_file(tmp_path):
     # one user whose single article id 7 lies outside n_articles=2
     path = tmp_path / "interactions.bin"
     path.write_bytes(b"RXIM\x02" + struct.pack("<IIQ2QI", 1, 2, 1, 0, 1, 7))
     with pytest.raises(BoundsError, match=r"interactions\.bin.*column index 7 >= n_cols=2"):
         corpus.InteractionMatrix.load(path)
+
+
+def _same_csr(got, want):
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_tag_matrix_equals_the_set_based_builder(data):
+    # Small id ranges make duplicate assignments, duplicate citations and
+    # self-citations common; n_tags past the largest carried id leaves tag
+    # ids that no article carries, which every threshold (0 too) drops.
+    n_articles = data.draw(st.integers(1, 8))
+    n_tags = data.draw(st.integers(1, 7))
+    article = st.integers(0, n_articles - 1)
+    assignments = data.draw(st.lists(st.tuples(article, st.integers(0, n_tags - 1)),
+                                     max_size=30))
+    citations = data.draw(st.lists(st.tuples(article, article), max_size=20))
+    threshold = data.draw(st.integers(0, 4))
+    got = corpus.build_tag_matrix(assignments, citations, threshold,
+                                  n_articles=n_articles, n_tags=n_tags)
+    want = ref.build_tag_matrix(assignments, citations, threshold, n_articles, n_tags)
+    _same_csr(got.matrix, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.sampled_from("abcdefg"), max_size=12), min_size=1, max_size=8),
+       st.integers(1, 7))
+def test_bow_equals_the_counter_based_normalisation(docs, top_n):
+    vocab = corpus.select_vocabulary(docs + [list("abcdefg")], frozenset(), top_n)
+    index = {tok: i for i, tok in enumerate(vocab.tokens)}
+    want = ref.row_max_normalised(
+        [[(index[tok], 1) for tok in doc if tok in index] for doc in docs], top_n)
+    _same_csr(corpus.build_bow(docs, vocab).matrix, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.integers(0, 5), st.integers(1, 9)), max_size=8),
+                min_size=1, max_size=8))
+def test_mult_content_equals_the_counter_based_normalisation(tmp_path_factory, rows):
+    # Repeated term ids within a line are summed before the row maximum.
+    path = tmp_path_factory.mktemp("mult") / "mult.dat"
+    path.write_text("".join(
+        " ".join([str(len(row))] + [f"{t}:{c}" for t, c in row]) + "\n" for row in rows))
+    got = corpus.load_mult_content(path, vocab_size=6)
+    _same_csr(got.matrix, ref.row_max_normalised(rows, 6))

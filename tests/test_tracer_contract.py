@@ -57,3 +57,31 @@ def test_encode_runs_through_the_traced_names():
     assert tracer.calls["nn.attention.forward"] == 1
     assert tracer.calls["nn.dense.forward"] == 2
     assert tracer.calls["nn.batchnorm.forward"] == 2
+
+
+def _corpus_spans(tracer) -> set:
+    return {f"corpus.{attr}" for owner, attr, _ in tracer._patches(MODS) if owner is corpus}
+
+
+def test_ingest_fires_each_traced_corpus_span_once(tmp_path):
+    # Guards against one loader reaching another through its wrapped name,
+    # which would count that span twice.
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--data-dir", str(data), "--n-users", "40", "--n-articles", "60",
+                     "--n-clusters", "4", "--min-library", "4", "--max-library", "8"]) == 0
+    (tmp_path / "mult").mkdir()
+    (tmp_path / "mult" / "users.dat").write_text("2 0 3\n1 1\n2 2 3\n")
+    (tmp_path / "mult" / "mult.dat").write_text("2 0:1 4:2\n1 1:3\n0\n2 2:1 0:1\n")
+    (tmp_path / "mult" / "tags.dat").write_text("2 0 1\n1 1\n0\n1 0\n")
+    (tmp_path / "mult" / "citations.dat").write_text("1 3\n0\n2 0 1\n0\n")
+    mult = ["--content-format", "mult", "--tags-format", "counted",
+            "--citations-format", "adjacency"]
+    text = {"corpus.read_raw_docs", "corpus.select_vocabulary", "corpus.build_bow"}
+    for directory, extra, skipped in ((data, [], set()), (tmp_path / "mult", mult, text)):
+        tracer = _tracer()
+        with tracer.installed(MODS):
+            assert cli.main(["preprocess", "--data-dir", str(directory),
+                             "--out-dir", str(tmp_path / "runs"), "--variant", "cata++",
+                             "--vocab-size", "5", "--min-articles-per-tag", "1", *extra]) == 0
+        assert {name: tracer.calls[name] for name in _corpus_spans(tracer)} == {
+            name: int(name not in skipped) for name in _corpus_spans(tracer)}
