@@ -18,19 +18,8 @@ from scipy import sparse
 
 from . import storage
 from .errors import ConfigError, DataError, NumericalError
-from .nn import (
-    Adam,
-    Attention,
-    BatchNorm,
-    Dense,
-    ReLU,
-    Sequential,
-    Sigmoid,
-    attention_bottleneck,
-    bce_grad,
-    bce_loss,
-    flatten,
-)
+from .nn import (Adam, Attention, BatchNorm, Dense, ReLU, Sequential, Sigmoid,
+                 attention_bottleneck, bce_grad, bce_loss, flatten)
 
 logger = logging.getLogger(__name__)
 

@@ -161,19 +161,6 @@ def _solve_rows(select, fixed, observed, lam, prior, a, b, out) -> np.ndarray:
     return out
 
 
-def update_user(i: int, r: InteractionMatrix, model: FactorModel) -> np.ndarray:
-    """Closed-form solve for user row i with V fixed; does not mutate the model."""
-    return _solve_rows(np.array([i]), model.V, r.matrix, model.lambda_u,
-                       np.zeros((1, model.d)), model.a, model.b, np.empty((1, model.d)))[0]
-
-
-def update_item(j: int, r: InteractionMatrix, model: FactorModel,
-                prior: np.ndarray) -> np.ndarray:
-    """Closed-form solve for article row j with U fixed; does not mutate the model."""
-    return _solve_rows(np.array([j]), model.U, r.matrix.tocsc(), model.lambda_v,
-                       prior[[j]], model.a, model.b, np.empty((1, model.d)))[0]
-
-
 def train_als(r: InteractionMatrix, model: FactorModel, prior: np.ndarray,
               max_sweeps: int = 50, tol: float = 1e-4) -> list:
     """Alternate exact user and article solves until the objective stalls.
@@ -208,12 +195,14 @@ def train_als(r: InteractionMatrix, model: FactorModel, prior: np.ndarray,
     return trace
 
 
-def predict_scores(model: FactorModel, users) -> np.ndarray:
-    """Article scores U[users] . V^T: a row for an int, a block for an index array."""
+def predict_scores(model: FactorModel, users, out=None) -> np.ndarray:
+    """Article scores U[users] . V^T: a row for an int, a block for an index
+    array, written to ``out`` when given. Only the scored rows of U are cast
+    to f64, which is exact, so f32 factors score as their f64 copies would."""
     users = np.asarray(users)
     if users.size and not (0 <= users.min() and users.max() < model.U.shape[0]):
         raise IndexError(f"user index out of range [0, {model.U.shape[0]})")
-    return model.U[users] @ model.V.T
+    return np.matmul(model.U[users].astype(np.float64), model.V.T, out=out)
 
 
 def save_factors(path, model: FactorModel, sweeps: int = 0):
@@ -230,10 +219,11 @@ def save_factors(path, model: FactorModel, sweeps: int = 0):
 
 
 def load_factors(path):
-    """Return (FactorModel, sweeps). Factors come back at f32 precision."""
+    """Return (FactorModel, sweeps). Factors come back at f32 precision: U as
+    the f32 view that ``read_tensors`` gives, V cast to f64 once for scoring."""
     tensors, meta = storage.read_tensors(path)
     try:
-        U, V = tensors["U"], tensors["V"]
+        U, V = tensors["U"], tensors["V"].astype(np.float64)
         fields = {key: meta[key] for key in ("lambda_u", "lambda_v", "a", "b", "variant")}
     except KeyError as exc:
         raise DataError(f"{path}: factor checkpoint lacks {exc.args[0]!r}") from None

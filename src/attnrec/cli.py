@@ -218,14 +218,15 @@ class _RunDir:
         return False
 
 
-def _stage(config: ExperimentConfig, kind: str, key: dict, build=None) -> str:
+def _stage(config: ExperimentConfig, kind: str, key: dict, build=None, reads=None) -> str:
     """The directory ``<out_dir>/<kind>-<hash of key>`` of one pipeline stage.
 
     ``key`` holds the ``inputs`` (digests or stage names) and the settings
     that reach the stage, never a path, so a stale parent is a missing one.
     Without ``build`` the stage is a parent that must exist. With it, a hit
-    is verified against its manifest; a miss runs ``build(tmp)``, which
-    returns stats, and publishes the key, the stats and the file digests.
+    is verified against its manifest, only in the files ``reads`` names when
+    given; a miss runs ``build(tmp)``, which returns stats, and publishes the
+    key, the stats and the file digests.
     """
     final = os.path.join(config.out_dir, f"{kind}-{_digest12(key)}")
     if build is None:
@@ -234,7 +235,7 @@ def _stage(config: ExperimentConfig, kind: str, key: dict, build=None) -> str:
         return final
     if os.path.isdir(final):
         logger.info("stage hit: %s", os.path.basename(final))
-        _verify_stage(final)
+        _verify_stage(final, reads)
         return final
     logger.info("stage miss: %s", os.path.basename(final))
     with _RunDir(final) as tmp:
@@ -254,11 +255,13 @@ def _manifest(stage: str, field: str) -> dict:
         raise DataError(f"{path}: unreadable stage manifest: {exc!r}") from None
 
 
-def _verify_stage(stage: str):
-    """Refuse a published stage whose files differ from its manifest's digests."""
-    for name, digest in _manifest(stage, "files").items():
+def _verify_stage(stage: str, names=None):
+    """Refuse a published stage whose files (or files ``names``) differ from
+    its manifest's digests."""
+    digests = _manifest(stage, "files")
+    for name in digests if names is None else names:
         path = os.path.join(stage, name)
-        if not os.path.isfile(path) or _sha256_file(path) != digest:
+        if not os.path.isfile(path) or _sha256_file(path) != digests.get(name):
             raise DataError(f"{path}: contents differ from the digest in "
                             f"{stage}/manifest.json; delete {stage} to build it again")
 
@@ -430,7 +433,7 @@ def _fit(config: ExperimentConfig, pre: str, stages: dict, tmp: str) -> dict:
                           latents.get("text"), latents.get("tag"))
     traces = {}
     for index in config.splits:
-        r_train, _ = _stored_split(config, pre, interactions, index)
+        r_train, = _stored_split(config, pre, interactions, index, "train.bin")
         model = cf.init_model(interactions.n_users, interactions.n_articles,
                               config.d, lambda_u=config.lambda_u,
                               lambda_v=config.lambda_v, a=config.a,
@@ -453,26 +456,27 @@ def _split(config: ExperimentConfig, interactions, index):
     return evaluation.make_split(interactions, config.p, rng)
 
 
-def _stored_split(config: ExperimentConfig, pre: str, interactions, index):
-    """The (train, test) matrices of one split from its ``split`` stage,
-    which a miss derives once through ``_split``; refused unless they fit
+def _stored_split(config: ExperimentConfig, pre: str, interactions, index, *names):
+    """The matrices ``names`` ("train.bin", "test.bin" or both) of one split
+    from its ``split`` stage, which a miss derives once through ``_split``;
+    a hit checks and reads only those files. Each is refused unless it fits
     ``interactions``, the ``interactions.bin`` of ``pre``."""
     key = {"inputs": {"preprocess": os.path.basename(pre)}, "p": config.p,
            "seed": config.seeds()["split"], "index": index}
-    names = ("train.bin", "test.bin")
 
     def build(tmp):
-        for name, matrix in zip(names, _split(config, interactions, index)):
+        for name, matrix in zip(("train.bin", "test.bin"), _split(config, interactions, index)):
             matrix.save(os.path.join(tmp, name))
         return {}
 
-    stage = _stage(config, "split", key, build)
-    r_train, r_test = (InteractionMatrix.load(os.path.join(stage, name)) for name in names)
-    if r_train.matrix.shape != interactions.matrix.shape:
-        raise DataError(f"{stage}/train.bin: split of {r_train.n_users} x {r_train.n_articles} "
-                        f"does not fit the {interactions.n_users} x {interactions.n_articles} "
-                        f"of {pre}/interactions.bin")
-    return r_train, r_test
+    stage = _stage(config, "split", key, build, names)
+    out = [InteractionMatrix.load(os.path.join(stage, name)) for name in names]
+    for name, r in zip(names, out):
+        if r.matrix.shape != interactions.matrix.shape:
+            raise DataError(f"{stage}/{name}: split of {r.n_users} x {r.n_articles} does not "
+                            f"fit the {interactions.n_users} x {interactions.n_articles} "
+                            f"of {pre}/interactions.bin")
+    return out
 
 
 def _model(config: ExperimentConfig, train_dir: str, index, interactions, source):
@@ -491,11 +495,18 @@ def _model(config: ExperimentConfig, train_dir: str, index, interactions, source
 
 def _scorer(model, r_train):
     """Scores for an int user or an index array; pop, with no model, gives
-    one shared row of training counts."""
+    one shared row of training counts. An index array's block is written to
+    one array the scorer keeps, so each call overwrites the last block."""
     if model is None:
         counts = r_train.item_counts().astype(np.float64)
         return lambda users: counts
-    return lambda users: cf.predict_scores(model, users)
+    held = [np.empty((0, len(model.V)))]
+
+    def score(users):
+        if np.ndim(users) and len(users) > len(held[0]):
+            held[0] = np.empty((len(users), len(model.V)))
+        return cf.predict_scores(model, users, held[0][:len(users)] if np.ndim(users) else None)
+    return score
 
 
 def cmd_evaluate(config: ExperimentConfig, args) -> int:
@@ -521,7 +532,8 @@ def cmd_evaluate(config: ExperimentConfig, args) -> int:
         reports = [[] for _ in scored]
         for index in config.splits:
             models = [_model(c, t, index, interactions, source) for c, t in scored]
-            r_train, r_test = _stored_split(config, pre, interactions, index)
+            r_train, r_test = _stored_split(config, pre, interactions, index,
+                                            "train.bin", "test.bin")
             for out, (c, _), model in zip(reports, scored, models):
                 out.extend(evaluation.evaluate(_scorer(model, r_train), r_train, r_test,
                                                config.ks, variant=c.variant,
@@ -548,25 +560,16 @@ def _write_improvement(tmp, ours: list, base: list, base_name: str):
     in percent, on the cross-split averages."""
     ours_avg = {r.k: r for r in ours if r.split == -1}
     base_avg = {r.k: r for r in base if r.split == -1}
-    rows = []
-    for k in sorted(ours_avg):
-        if k not in base_avg:
-            continue
-        rows.append({
-            "k": k,
-            "baseline": base_name,
-            "recall_improvement_pct": evaluation.improvement_pct(
-                ours_avg[k].recall, base_avg[k].recall),
-            "ndcg_improvement_pct": evaluation.improvement_pct(
-                ours_avg[k].ndcg, base_avg[k].ndcg),
-        })
+    gain = evaluation.improvement_pct
+    rows = [{"k": k, "baseline": base_name,
+             "recall_improvement_pct": gain(ours_avg[k].recall, base_avg[k].recall),
+             "ndcg_improvement_pct": gain(ours_avg[k].ndcg, base_avg[k].ndcg)}
+            for k in sorted(ours_avg) if k in base_avg]
     _write_json(os.path.join(tmp, "improvement.json"), rows)
     with open(os.path.join(tmp, "improvement.csv"), "w") as fh:
         fh.write("k,baseline,recall_improvement_pct,ndcg_improvement_pct\n")
-        for row in rows:
-            fh.write(f"{row['k']},{row['baseline']},"
-                     f"{row['recall_improvement_pct']:.6f},"
-                     f"{row['ndcg_improvement_pct']:.6f}\n")
+        fh.writelines(f"{r['k']},{r['baseline']},{r['recall_improvement_pct']:.6f},"
+                      f"{r['ndcg_improvement_pct']:.6f}\n" for r in rows)
 
 
 def cmd_recommend(config: ExperimentConfig, args) -> int:
@@ -579,7 +582,7 @@ def cmd_recommend(config: ExperimentConfig, args) -> int:
     if not 0 <= index < config.n_splits:
         raise ConfigError(f"split must lie in [0, {config.n_splits})")
     model = _model(config, _trained(config, pre), index, interactions, source)
-    r_train, _ = _stored_split(config, pre, interactions, index)
+    r_train, = _stored_split(config, pre, interactions, index, "train.bin")
     scores = _scorer(model, r_train)(args.user_id)
     picks = evaluation.top_k(scores, args.k, exclude=r_train.user_items(args.user_id))
     for rank, article in enumerate(picks, start=1):

@@ -246,11 +246,11 @@ def _lines(path, counted: bool, parse=_ints) -> tuple:
 
 
 def _bound(path, rows, ids, limit, what) -> int:
-    """``limit``, or max id + 1 when it is None. A negative id, or one at
-    or past ``limit``, is a BoundsError naming the file and the line
-    (row + 1) holding it."""
+    """``limit``, or max id + 1 when it is None, capped at the largest count
+    a cache's u32 header holds. A negative id, or one at or past ``limit``,
+    is a BoundsError naming the file and the line (row + 1) holding it."""
     if limit is None:
-        limit = int(ids.max()) + 1 if ids.size else 0
+        limit = min(int(ids.max()) + 1, np.iinfo(storage._U32).max) if ids.size else 0
     bad = np.flatnonzero((ids < 0) | (ids >= limit))
     if bad.size:
         raise BoundsError(f"{path}: line {rows[bad[0]] + 1}: {what} {ids[bad[0]]} "

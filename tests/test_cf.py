@@ -47,7 +47,7 @@ def test_update_user_matches_dense_normal_equations():
         dense, r, model, prior = _random_instance(seed)
         d = model.d
         for i in range(r.n_users):
-            got = cf.update_user(i, r, model)
+            got = reference.update_user(i, r, model)
             lhs = model.lambda_u * np.eye(d)
             rhs = np.zeros(d)
             for j in range(r.n_articles):
@@ -64,7 +64,7 @@ def test_update_item_matches_dense_normal_equations():
         dense, r, model, prior = _random_instance(seed)
         d = model.d
         for j in range(r.n_articles):
-            got = cf.update_item(j, r, model, prior)
+            got = reference.update_item(j, r, model, prior)
             lhs = model.lambda_v * np.eye(d)
             rhs = model.lambda_v * prior[j]
             for i in range(r.n_users):
@@ -80,7 +80,7 @@ def test_closed_form_user_row_is_a_minimum():
     dense, r, model, prior = _random_instance(11)
     rng = np.random.default_rng(0)
     i = 2
-    star = cf.update_user(i, r, model)
+    star = reference.update_user(i, r, model)
 
     def row_obj(u):
         total = 0.0
@@ -110,15 +110,15 @@ def test_train_als_tol_inf_runs_exactly_one_sweep():
 
 
 def test_train_als_sweep_equals_public_row_updates():
-    # The row-solution checks call update_user/update_item; this pins them
-    # to the code that trains.
+    # The row-solution checks solve single rows through the kernel; this pins
+    # them to the sweep that trains.
     _, r, trained, prior = _random_instance(5, n_users=20, n_articles=24)
     _, _, by_rows, _ = _random_instance(5, n_users=20, n_articles=24)
     cf.train_als(r, trained, prior, max_sweeps=1, tol=0.0)
     for i in range(r.n_users):
-        by_rows.U[i] = cf.update_user(i, r, by_rows)
+        by_rows.U[i] = reference.update_user(i, r, by_rows)
     for j in range(r.n_articles):
-        by_rows.V[j] = cf.update_item(j, r, by_rows, prior)
+        by_rows.V[j] = reference.update_item(j, r, by_rows, prior)
     assert np.array_equal(trained.U, by_rows.U)
     assert np.array_equal(trained.V, by_rows.V)
 
@@ -172,7 +172,7 @@ def test_cold_article_inherits_prior_exactly():
     users, articles = np.nonzero(dense)
     r = InteractionMatrix.from_pairs(users, articles, *dense.shape)
     model.U[:] = 0.0
-    got = cf.update_item(0, r, model, prior)
+    got = reference.update_item(0, r, model, prior)
     assert np.array_equal(got, prior[0])
 
 
@@ -304,3 +304,18 @@ def test_load_factors_rejects_factor_width_mismatch_as_data(tmp_path, V):
     storage.write_tensors(path, {"U": model.U, "V": V}, meta)
     with pytest.raises(DataError, match=r"factors\.bin.*width"):
         cf.load_factors(path)
+
+
+def test_loaded_factors_score_as_their_f64_copies(tmp_path):
+    _, _, model, _ = _random_instance(8, n_users=7, n_articles=11, d=4)
+    path = tmp_path / "f.bin"
+    cf.save_factors(path, model)
+    loaded, _ = cf.load_factors(path)
+    assert loaded.U.dtype == np.float32 and loaded.V.dtype == np.float64
+    f64 = cf.FactorModel(U=loaded.U.astype(np.float64), V=loaded.V, lambda_u=0.7,
+                         lambda_v=0.3)
+    block = np.array([6, 0, 3])
+    out = np.empty((3, 11))
+    assert cf.predict_scores(loaded, block, out) is out
+    assert np.array_equal(out, f64.U[block] @ f64.V.T)
+    assert np.array_equal(cf.predict_scores(loaded, 2), f64.U[2] @ f64.V.T)

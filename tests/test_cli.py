@@ -799,3 +799,39 @@ def test_out_of_range_tag_or_citation_line_names_its_file(workspace, capsys, nam
     err = _refused(capsys, _args("preprocess", data, runs), path, message)
     assert f"{path}: line {n_lines + 1}: {message}" in err
     assert not list(runs.glob("preprocess-*"))
+
+
+def test_recommend_and_train_read_only_the_split_train_file(workspace, capsys, monkeypatch):
+    # A split hit checks and reads only the files its caller uses: recommend
+    # and train read train.bin, evaluate reads both.
+    data, runs = workspace
+    extra = ("--variant", "wrmf")
+    assert cli.main(_args("preprocess", data, runs, *extra)) == 0
+    assert cli.main(_args("train", data, runs, *extra)) == 0
+    test_bin = _single_run_dir(runs, "split-") / "test.bin"
+    _flip(test_bin, len(test_bin.read_bytes()) - 2)
+    opened = []
+    for module, name in ((cli, "_sha256_file"), (storage, "read_interactions")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda path, real=real: opened.append(
+            os.path.basename(path)) or real(path))
+    for command, more in (("recommend", ("3",)), ("recommend", ("--variant", "pop", "3")),
+                          ("train", ("--lambda-v", "5"))):
+        assert cli.main(_args(command, data, runs, *extra, *more)) == 0
+    assert "train.bin" in opened and "test.bin" not in opened
+    for more in ((), ("--variant", "pop")):
+        _refused(capsys, _args("evaluate", data, runs, *extra, *more), test_bin)
+    assert not any(d.startswith("evaluate-") for d in os.listdir(runs))
+
+
+def test_article_id_past_u32_names_users_dat_line(workspace, capsys):
+    # wrmf takes n_articles from the largest id + 1, which a cache's u32
+    # column count must hold.
+    data, runs = workspace
+    users = data / "users.dat"
+    n_lines = len(users.read_text().splitlines())
+    with open(users, "a") as fh:
+        fh.write("2 3 5000000000\n")
+    err = _refused(capsys, _args("preprocess", data, runs, "--variant", "wrmf"), users)
+    assert f"{users}: line {n_lines + 1}: article 5000000000 out of range" in err
+    assert not list(runs.glob("preprocess-*"))

@@ -383,3 +383,33 @@ def test_evaluate_computes_each_metric_once_per_block(monkeypatch):
     blocks = len(calls["top_k"])
     assert blocks > 1
     assert calls["recall_at_k"] == calls["ndcg_at_k"] == [[5, 10, 20]] * blocks
+
+
+@pytest.mark.parametrize("variant", ["wrmf", "pop"])
+def test_evaluate_through_reused_block_buffers_equals_reference(monkeypatch, variant):
+    # Blocks of 7 users over 26 evaluated users: the last block is shorter,
+    # and it is ranked through the leading rows of the held buffers.
+    monkeypatch.setattr(ev, "BLOCK_SCORES", 7 * (80 + 4 * 10))
+    rng = np.random.default_rng(14)
+    r = _random_matrix(rng, 30, 80, 0.08)
+    train, test = ev.make_split(r, 1, np.random.default_rng(2))
+    users = np.flatnonzero(np.diff(test.matrix.indptr))
+    assert users.size % 7 != 0
+    model = cf.init_model(30, 80, 4, lambda_u=0.1, lambda_v=0.1, seed=3)
+    cf.train_als(train, model, np.zeros_like(model.V), max_sweeps=2)
+    if variant == "wrmf":
+        row = lambda i: cf.predict_scores(model, i)  # noqa: E731
+    else:
+        model, row = None, lambda i: train.item_counts().astype(np.float64)  # noqa: E731
+    reference = ref.evaluate(row, train, test, [5, 10])
+    outs, blocks, orders, real = [], [], [], ev.top_k
+    monkeypatch.setattr(ev, "top_k", lambda s, k, **kw: outs.append(kw["out"])
+                        or blocks.append(s) or orders.append(kw["order"]) or real(s, k, **kw))
+    assert ev.evaluate(cli._scorer(model, train), train, test, [5, 10]) == reference
+    assert len(outs) == -(-users.size // 7) and len(outs[-1]) == users.size % 7
+    assert all(np.shares_memory(out, outs[0]) for out in outs)
+    if variant == "wrmf":
+        assert all(np.shares_memory(s, blocks[0]) for s in blocks)
+        assert orders == [None] * len(outs)
+    else:  # the shared row is sorted once for every block
+        assert orders[0] is not None and all(o is orders[0] for o in orders)

@@ -165,12 +165,15 @@ def _write_tensors(path):
     storage.write_tensors(path, {"w": np.ones((2, 2))}, {"k": 1})
 
 
-@pytest.mark.parametrize("write, read", [
+_FORMATS = [
     (_write_interactions, storage.read_interactions),
     (_write_content, storage.read_content),
     (_write_tags, storage.read_tags),
     (_write_tensors, storage.read_tensors),
-])
+]
+
+
+@pytest.mark.parametrize("write, read", _FORMATS)
 def test_trailing_bytes_refused(tmp_path, write, read):
     path = tmp_path / "cache.bin"
     write(path)
@@ -178,6 +181,32 @@ def test_trailing_bytes_refused(tmp_path, write, read):
     path.write_bytes(path.read_bytes() + b"\x00junk")
     with pytest.raises(DataError, match="cache.bin: 5 trailing bytes"):
         read(path)
+
+
+@pytest.mark.parametrize("write, read", _FORMATS)
+def test_empty_cut_and_extended_files_refused_through_the_mapping(tmp_path, write, read):
+    # An empty file cannot be mapped at all; it reads as truncated, as a
+    # file cut short does.
+    path = tmp_path / "cache.bin"
+    write(path)
+    raw = path.read_bytes()
+    for data, message in ((b"", "truncated cache file"), (raw[:-1], "truncated cache file"),
+                          (raw + b"\x00", "1 trailing bytes")):
+        path.write_bytes(data)
+        with pytest.raises(DataError, match=f"cache.bin: {message}"):
+            read(path)
+
+
+def test_read_tensors_gives_private_f32_views(tmp_path):
+    path = tmp_path / "t.bin"
+    storage.write_tensors(path, {"w": np.arange(6.0).reshape(2, 3)})
+    raw = path.read_bytes()
+    first, _ = storage.read_tensors(path)
+    assert first["w"].dtype == np.float32 and first["w"].flags.writeable
+    first["w"][0, 0] = 99.0
+    again, _ = storage.read_tensors(path)
+    assert path.read_bytes() == raw and again["w"][0, 0] == 0.0
+    assert np.array_equal(again["w"], np.arange(6.0).reshape(2, 3))
 
 
 @pytest.fixture(scope="module")
