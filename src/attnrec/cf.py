@@ -106,22 +106,16 @@ def objective(r: InteractionMatrix, model: FactorModel, prior: np.ndarray) -> fl
     """
     U, V = model.U, model.V
     coo = r.matrix.tocoo()
-    users, articles = coo.row, coo.col
-    pred_obs = np.einsum("ij,ij->i", U[users], V[articles])
-    gram_v = V.T @ V
-    total_sq = float(np.einsum("ij,jk,ik->", U, gram_v, U))
-    weighted = (
-        model.b * total_sq
-        + float((model.a * (1.0 - pred_obs) ** 2 - model.b * pred_obs ** 2).sum())
-    )
+    pred_obs = np.einsum("ij,ij->i", U[coo.row], V[coo.col])
+    weighted = (model.b * float(np.vdot(U @ (V.T @ V), U))
+                + float((model.a * (1.0 - pred_obs) ** 2 - model.b * pred_obs ** 2).sum()))
     reg_u = model.lambda_u * float((U * U).sum())
-    diff = V - prior
-    reg_v = model.lambda_v * float((diff * diff).sum())
+    reg_v = model.lambda_v * float(((V - prior) ** 2).sum())
     return 0.5 * (weighted + reg_u + reg_v)
 
 
 # Float64 values one chunk of ``_solve_rows`` may hold per scratch array: its
-# g x c x d gather and its g x d x d systems each stay near 0.5 MB.
+# g x c x d gathers and its g x d x d systems (c >= d) each stay near 0.5 MB.
 _CHUNK_VALUES = 1 << 16
 
 
@@ -131,33 +125,37 @@ def _solve_rows(select, fixed, observed, lam, prior, a, b, out) -> np.ndarray:
     articles). ``prior`` holds one row p per selected row; the solution of
     selected row k goes to ``out[k]``, and ``out`` is returned.
 
-    Each row solves (B + lam I) w = a * sum(O) - B p for w = x - p, with
-    B = b G + (a - b) O^T O and G the Gram matrix of ``fixed``. Rows without
-    observations share one factor, x = p - (b G + lam I)^-1 b G p, so a cold
-    article with zero factors on the other side inherits its prior bit-exactly.
-    The rest are solved by equal observation count, one batched solve per chunk.
-    Every step acts on each row alone, so a row's result does not depend on
-    which rows share its selection or chunk.
+    Row x = p + w solves (A + (a - b) O^T O) w = r, where A = b G + lam I, G is
+    the Gram matrix of ``fixed`` and r = a sum(O) - b G p - (a - b) O^T O p.
+    With c < d observations, Woodbury gives w = A^-1 r - A^-1 O^T C^-1 O A^-1 r
+    from the half's one A^-1 and a c x c C = I / (a - b) + O A^-1 O^T; a cold
+    row is c = 0, so it inherits p bit-exactly when ``fixed`` is zero. Rows
+    with c >= d solve the d x d system. Rows go by count, one batched solve per
+    chunk with every product per row, so no row depends on its chunk.
     """
     d = fixed.shape[1]
     bg, shift = b * (fixed.T @ fixed), lam * np.eye(d)
+    a_inv = cho_solve(cho_factor(bg + shift), np.eye(d))
     counts = np.diff(observed.indptr)[select]
     order = np.argsort(counts, kind="stable")
     values, starts = np.unique(counts[order], return_index=True)
     for c, group in zip(values, np.split(order, starts[1:])):
-        if c == 0:
-            K = cho_solve(cho_factor(bg + shift), bg)
-        step = max(1, _CHUNK_VALUES // (d * max(c, d)))
+        step = max(1, _CHUNK_VALUES // (d * max(c, 1)))
         for lo in range(0, group.size, step):
             part = group[lo:lo + step]
             p = prior[part]
-            if c == 0:
-                out[part] = p - (p[:, None, :] @ K.T)[:, 0, :]
-                continue
             obs = fixed[observed.indices[observed.indptr[select[part], None] + np.arange(c)]]
-            B = bg + (a - b) * (obs.transpose(0, 2, 1) @ obs)  # g x d x d
-            rhs = a * obs.sum(axis=1) - (B @ p[:, :, None])[:, :, 0]
-            out[part] = np.linalg.solve(B + shift, rhs[:, :, None])[:, :, 0] + p
+            obs_t = obs.transpose(0, 2, 1)
+            if c >= d:
+                B = bg + (a - b) * (obs_t @ obs)  # g x d x d
+                rhs = a * obs.sum(axis=1) - (B @ p[:, :, None])[:, :, 0]
+                out[part] = np.linalg.solve(B + shift, rhs[:, :, None])[:, :, 0] + p
+                continue
+            rhs = (a * obs.sum(axis=1) - (p[:, None, :] @ bg)[:, 0, :]
+                   - (a - b) * (obs_t @ (obs @ p[:, :, None]))[:, :, 0])
+            oa = obs @ a_inv  # O A^-1, g x c x d
+            y = np.linalg.solve(oa @ obs_t + np.eye(c) / (a - b), oa @ rhs[:, :, None])
+            out[part] = p + ((rhs[:, None, :] - y.transpose(0, 2, 1) @ obs) @ a_inv)[:, 0, :]
     return out
 
 
@@ -166,8 +164,8 @@ def train_als(r: InteractionMatrix, model: FactorModel, prior: np.ndarray,
     """Alternate exact user and article solves until the objective stalls.
 
     Returns the objective trace (initial value, then one entry per sweep).
-    The trace must be non-increasing; an increase beyond 1e-9 relative
-    aborts with NumericalError.
+    An objective increase beyond 1e-9 relative, or a system in either half
+    that cannot be factored or solved, aborts with NumericalError.
     """
     if prior.shape != model.V.shape:
         raise ConfigError(f"prior shape {prior.shape} != V shape {model.V.shape}")
@@ -175,20 +173,23 @@ def train_als(r: InteractionMatrix, model: FactorModel, prior: np.ndarray,
     users, articles = np.arange(r.n_users), np.arange(r.n_articles)
     zero_prior = np.zeros_like(model.U)
     trace = [objective(r, model, prior)]
+    halves = (("user", users, model.V, r.matrix, model.lambda_u, zero_prior, model.U),
+              ("article", articles, model.U, csc, model.lambda_v, prior, model.V))
     for sweep in range(max_sweeps):
-        start = time.perf_counter()
-        _solve_rows(users, model.V, r.matrix, model.lambda_u, zero_prior, model.a, model.b,
-                    model.U)
-        half = time.perf_counter()
-        _solve_rows(articles, model.U, csc, model.lambda_v, prior, model.a, model.b, model.V)
-        solved = time.perf_counter()
+        times = [time.perf_counter()]
+        for side, select, fixed, observed, lam, p, out in halves:
+            try:
+                _solve_rows(select, fixed, observed, lam, p, model.a, model.b, out)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"ALS {side} half of sweep {sweep}: {exc}") from None
+            times.append(time.perf_counter())
         value = objective(r, model, prior)
         prev = trace[-1]
         trace.append(value)
         if value - prev > 1e-9 * max(1.0, abs(prev)):
             raise NumericalError(f"objective increased at sweep {sweep}: {prev!r} -> {value!r}")
         logger.debug("sweep %d: objective %.6f, user half %.3f s, article half %.3f s",
-                     sweep, value, half - start, solved - half)
+                     sweep, value, *np.diff(times))
         rel_drop = (prev - value) / max(abs(prev), 1e-300)
         if rel_drop < tol:
             break

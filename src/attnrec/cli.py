@@ -153,7 +153,7 @@ def _typed(name: str, value, kind: type):
     return value
 
 
-_STAGE_FORMAT = 3  # bump when a stage directory's layout or the arithmetic behind it changes
+_STAGE_FORMAT = 4  # bump when a stage directory's layout or the arithmetic behind it changes
 
 
 def _digest12(payload: dict) -> str:

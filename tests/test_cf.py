@@ -154,9 +154,39 @@ def test_sweep_matches_row_loop_reference(monkeypatch, chunk_values, p, prior_sc
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_train_als_is_bit_exact_across_chunk_sizes(monkeypatch):
-    r, model = _split_instance(5, seed=2)
-    _, small = _split_instance(5, seed=2)
+# Users (rows) and articles (columns) with 0, d - 1, d and d + 1 saves at d = 4,
+# so both halves take the c < d and the c >= d solve, next to the switch.
+_BOUNDARY = np.array([[0, 0, 0, 0, 0, 0],
+                      [0, 1, 1, 1, 0, 0],
+                      [0, 1, 1, 1, 1, 0],
+                      [0, 1, 1, 1, 1, 1],
+                      [0, 0, 1, 1, 1, 1],
+                      [0, 0, 1, 1, 1, 0]])
+
+
+@pytest.mark.parametrize("chunk_values", [None, 1])
+def test_sweep_matches_reference_at_the_solve_switch(monkeypatch, chunk_values):
+    if chunk_values is not None:
+        monkeypatch.setattr(cf, "_CHUNK_VALUES", chunk_values)
+    users, articles = np.nonzero(_BOUNDARY)
+    r = InteractionMatrix.from_pairs(users, articles, *_BOUNDARY.shape)
+    model, expected = (cf.init_model(*_BOUNDARY.shape, 4, lambda_u=0.7, lambda_v=0.3, seed=4)
+                       for _ in range(2))
+    for counts in (np.diff(r.matrix.indptr), r.item_counts()):
+        assert {0, 3, 4, 5} <= set(counts.tolist())
+    prior = np.random.default_rng(5).normal(scale=0.3, size=model.V.shape)
+    cf.train_als(r, model, prior, max_sweeps=2, tol=0.0)
+    for _ in range(2):
+        reference.sweep(r, expected, prior)
+    for got, want in ((model.U, expected.U), (model.V, expected.V)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("p", [1, 5])
+def test_train_als_is_bit_exact_across_chunk_sizes(monkeypatch, p):
+    # At p = 1 users take the c < d solve, at p = 5 > d = 4 the direct one.
+    r, model = _split_instance(p, seed=2)
+    _, small = _split_instance(p, seed=2)
     prior = np.random.default_rng(3).normal(scale=0.3, size=model.V.shape)
     cf.train_als(r, model, prior, max_sweeps=3, tol=0.0)
     monkeypatch.setattr(cf, "_CHUNK_VALUES", 1)  # one row per chunk

@@ -154,6 +154,23 @@ def test_numerical_failure_exits_3(workspace, monkeypatch):
     assert not [d for d in os.listdir(runs) if d.startswith("train-")]
 
 
+def test_singular_als_system_exits_3_naming_half_and_sweep(tmp_path, capsys):
+    # 20 users give the user factors a Gram matrix of rank <= 20 < d = 50, so at
+    # lambda_v = 0 the article half's shared b G + lambda_v I is singular.
+    data, runs = tmp_path / "data", tmp_path / "runs"
+    assert cli.main(["synth", "--data-dir", str(data), "--seed", "3", "--n-users", "20",
+                     "--n-articles", "200", "--n-clusters", "4", "--min-library", "4",
+                     "--max-library", "8"]) == 0
+    args = ["--data-dir", str(data), "--out-dir", str(runs), "--variant", "wrmf",
+            "--d", "50", "--lambda-v", "0", "--splits", "1"]
+    assert cli.main(["preprocess", *args]) == 0
+    capsys.readouterr()
+    assert cli.main(["train", *args]) == 3
+    err = capsys.readouterr().err
+    assert "ALS article half of sweep 0" in err and "Traceback" not in err
+    assert not [d for d in os.listdir(runs) if d.startswith("train-")]
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"p": 2, "d": 4, "variant": "wrmf", "seed": 9}))
