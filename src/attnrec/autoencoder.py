@@ -134,13 +134,15 @@ def pretrain(ae: AttentiveAutoencoder, data, epochs: int = 200, batch_size: int 
         raise ValueError("pretraining needs at least 2 rows")
 
     rng = np.random.default_rng(seed)
-    optimizer = Adam([ae.params], lr=learning_rate)
+    optimizer = Adam(ae.params, lr=learning_rate)
     history = []
     for epoch in range(epochs):
-        shuffled = data[rng.permutation(n)]
-        total = 0.0
+        order, top, total = rng.permutation(n), 0, 0.0
         for batch_i, (lo, hi) in enumerate(_batch_slices(n, batch_size)):
-            x = shuffled[lo:hi].toarray()
+            if hi > top:  # densify the next ENCODE_CHUNK rows, from this batch on
+                base, top = lo, max(hi, lo + ENCODE_CHUNK)
+                chunk = data[order[base:top]].toarray()
+            x = chunk[lo - base:hi - base]
             out = ae.net.forward(x, training=True)
             loss = bce_loss(out, x)
             if not np.isfinite(loss):
@@ -148,7 +150,7 @@ def pretrain(ae: AttentiveAutoencoder, data, epochs: int = 200, batch_size: int 
                     f"non-finite reconstruction loss at epoch {epoch}, batch {batch_i}"
                 )
             ae.net.backward(bce_grad(out, x), input_grad=False)
-            optimizer.step([ae.grads])
+            optimizer.step(ae.grads)
             total += loss * x.shape[0]
         history.append(total / n)
         if epoch % 50 == 0 or epoch == epochs - 1:

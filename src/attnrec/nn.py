@@ -32,7 +32,7 @@ def softmax(z: np.ndarray) -> np.ndarray:
 def sigmoid(x: np.ndarray) -> np.ndarray:
     # exp of a nonpositive argument only, so it cannot overflow
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, x >= 0) / (1.0 + e)  # e <= 1, so the max picks 1 where x >= 0
 
 
 def attention_bottleneck(x: np.ndarray) -> np.ndarray:
@@ -56,8 +56,7 @@ def bce_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     p = np.clip(pred, BCE_EPS, 1.0 - BCE_EPS)
     batch = pred.shape[0] if pred.ndim > 1 else 1
     grad = (-(target / p) + (1.0 - target) / (1.0 - p)) / batch
-    inside = (pred > BCE_EPS) & (pred < 1.0 - BCE_EPS)
-    return np.where(inside, grad, 0.0)
+    return grad * ((pred > BCE_EPS) & (pred < 1.0 - BCE_EPS))
 
 
 def glorot_uniform(in_dim: int, out_dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -124,7 +123,7 @@ class Dense(Layer):
         """Fill dw and db; return dx, or None when ``input_grad`` is false."""
         self._require_cache(self._x)
         np.matmul(self._x.T, dout, out=self.dw)
-        np.sum(dout, axis=0, out=self.db)
+        np.add.reduce(dout, 0, out=self.db)
         return dout @ self.w.T if input_grad else None
 
 
@@ -158,10 +157,12 @@ class BatchNorm(Layer):
         if training:
             if x.shape[0] < 2:
                 raise ValueError("batch normalization needs batch size >= 2 in training mode")
-            mean = x.mean(axis=0)
-            var = x.var(axis=0)
+            # the sums and divisions of x.mean and x.var, centring x only once
+            mean = np.add.reduce(x, 0) / x.shape[0]
+            xc = x - mean
+            var = np.add.reduce(xc * xc, 0) / x.shape[0]
             inv_std = 1.0 / np.sqrt(var + self.eps)
-            xhat = (x - mean) * inv_std
+            xhat = xc * inv_std
             for running, batch in ((self.running_mean, mean), (self.running_var, var)):
                 running *= self.momentum  # in place, so the state keeps its dtype
                 running += (1.0 - self.momentum) * batch
@@ -176,8 +177,8 @@ class BatchNorm(Layer):
         self._require_cache(self._cache)
         xhat, inv_std = self._cache
         n = dout.shape[0]
-        np.sum(dout * xhat, axis=0, out=self.dgamma)
-        np.sum(dout, axis=0, out=self.dbeta)
+        np.add.reduce(dout * xhat, 0, out=self.dgamma)
+        np.add.reduce(dout, 0, out=self.dbeta)
         dxhat = dout * self.gamma
         return (inv_std / n) * (
             n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
@@ -190,7 +191,7 @@ class ReLU(Layer):
 
     def forward(self, x, training=True):
         self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        return np.maximum(x, 0)
 
     def backward(self, dout):
         self._require_cache(self._mask)
@@ -255,34 +256,31 @@ class Sequential:
 
 
 class Adam:
-    """Adaptive-moment optimizer with bias correction; updates in place.
-    Kingma & Ba's efficient form folds the corrections into two scalars."""
+    """Adam with bias correction (Kingma & Ba's efficient form, corrections folded
+    into two scalars) over one flat buffer, in place, ``SLICE`` elements at a time
+    so a slice stays in cache. Each slice's gradient is checked finite just before
+    its update, so a bad value found late leaves earlier slices stepped."""
 
-    def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
+    SLICE = 1 << 16
+
+    def __init__(self, params: np.ndarray, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
-        self.params = list(params)
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.t = 0
-        self.m = [np.zeros_like(p) for p in self.params]
-        self.v = [np.zeros_like(p) for p in self.params]
-        self._tmp = [np.empty_like(p) for p in self.params]
+        self.params, self.lr, self.beta1, self.beta2, self.eps = params, lr, beta1, beta2, eps
+        self.t, self.m, self.v = 0, np.zeros_like(params), np.zeros_like(params)
+        self._tmp = np.empty_like(params[:self.SLICE])
 
-    def step(self, grads):
-        grads = list(grads)
-        if len(grads) != len(self.params):
-            raise ValueError(
-                f"expected {len(self.params)} gradients, got {len(grads)}"
-            )
-        if not all(np.isfinite(g).all() for g in grads):
-            raise NumericalError("non-finite gradient encountered; aborting training")
+    def step(self, grads: np.ndarray):
+        if grads.shape != self.params.shape:
+            raise ValueError(f"expected gradients of shape {self.params.shape}, got {grads.shape}")
         self.t += 1
         root2 = math.sqrt(1.0 - self.beta2 ** self.t)
-        step_size = self.lr * root2 / (1.0 - self.beta1 ** self.t)
-        eps = self.eps * root2
-        for p, g, m, v, tmp in zip(self.params, grads, self.m, self.v, self._tmp):
+        step_size, eps = self.lr * root2 / (1.0 - self.beta1 ** self.t), self.eps * root2
+        for lo in range(0, len(grads), self.SLICE):
+            hi = lo + self.SLICE
+            g, p, m, v = grads[lo:hi], self.params[lo:hi], self.m[lo:hi], self.v[lo:hi]
+            if not np.isfinite(g).all():
+                raise NumericalError("non-finite gradient encountered; aborting training")
+            tmp = self._tmp[:len(g)]
             m *= self.beta1
             m += np.multiply(g, 1.0 - self.beta1, out=tmp)
             v *= self.beta2

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+import _pretrain_reference as reference
 from attnrec import nn, storage
 from attnrec.autoencoder import (AttentiveAutoencoder, load_autoencoder,
                                  pretrain, save_autoencoder)
@@ -211,3 +212,33 @@ def test_training_forward_on_float64_rows_keeps_float32_state():
     ae = AttentiveAutoencoder(10, [4], seed=14)
     ae.net.forward(np.random.default_rng(0).uniform(size=(6, 10)), training=True)
     assert all(t.dtype == np.float32 for t in ae.named_tensors().values())
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [None, 200])
+def test_pretrain_matches_the_plain_reference_bit_for_bit(monkeypatch, chunk):
+    # 3 * 128 + 1 rows: the trailing singleton merges into the last batch. A
+    # 200-row chunk makes batches straddle chunk edges, in pretrain and encode.
+    import attnrec.autoencoder as mod
+    if chunk is not None:
+        monkeypatch.setattr(mod, "ENCODE_CHUNK", chunk)
+    data = _toy_content(n_rows=3 * 128 + 1)
+    ae, ref = (AttentiveAutoencoder(30, [12, 6], seed=15) for _ in range(2))
+    history = pretrain(ae, data, epochs=3, batch_size=128, seed=2)
+    assert history == reference.pretrain(ref, data, epochs=3, batch_size=128, seed=2)
+    assert _same_bits(ae.params, ref.params)
+    tensors, ref_tensors = ae.named_tensors(), ref.named_tensors()
+    assert all(_same_bits(tensors[name], ref_tensors[name]) for name in tensors)
+    assert _same_bits(ae.encode(data), reference.encode(ref, data))
+
+
+def test_nan_parameter_raises_numerical_error_at_the_first_loss():
+    # ReLU passes a NaN through, so a NaN weight reaches the first batch's
+    # loss; the CLI maps NumericalError to exit 3.
+    ae = AttentiveAutoencoder(30, [8], seed=16)
+    ae.net.layers[0].w[0, 0] = np.nan
+    with pytest.raises(NumericalError, match="loss at epoch 0, batch 0"):
+        pretrain(ae, _toy_content(), epochs=1, batch_size=16)

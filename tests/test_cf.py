@@ -140,7 +140,8 @@ def _split_instance(p, seed, n_users=40, n_articles=70, d=4):
 @pytest.mark.parametrize("prior_scale", [0.0, 0.3])
 def test_sweep_matches_row_loop_reference(monkeypatch, chunk_values, p, prior_scale):
     if chunk_values is not None:
-        # 40 values hold two rows of d=4, so every count group spans chunks.
+        # 40 values hold two rows of d=4, so the c >= d groups span chunks;
+        # a c < d chunk holds 40 // (4 * max(c, 1)) rows (10 at c = 1).
         monkeypatch.setattr(cf, "_CHUNK_VALUES", chunk_values)
     r, model = _split_instance(p, seed=p)
     _, expected = _split_instance(p, seed=p)

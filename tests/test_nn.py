@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import _pretrain_reference as reference
 from _gradcheck import fd_grad, max_rel_err
 from attnrec import nn
 from attnrec.errors import NumericalError
@@ -199,23 +200,23 @@ def test_adam_single_step_oracle():
     # with one step the bias corrections cancel the decay factors exactly,
     # so the update is lr * g / (|g| + eps)
     w = np.array([0.0])
-    opt = nn.Adam([w], lr=1e-3)
-    opt.step([np.array([0.5])])
+    opt = nn.Adam(w, lr=1e-3)
+    opt.step(np.array([0.5]))
     assert np.isclose(w[0], -1e-3 * 0.5 / (0.5 + 1e-8), rtol=1e-12)
 
 
 def test_adam_rejects_nonfinite_gradient():
     w = np.zeros(2)
-    opt = nn.Adam([w])
+    opt = nn.Adam(w)
     with pytest.raises(NumericalError):
-        opt.step([np.array([np.nan, 0.0])])
+        opt.step(np.array([np.nan, 0.0]))
 
 
 def test_adam_updates_in_place():
     w = np.ones(3)
     ref = w
-    opt = nn.Adam([w], lr=0.1)
-    opt.step([np.ones(3)])
+    opt = nn.Adam(w, lr=0.1)
+    opt.step(np.ones(3))
     assert ref is w
     assert np.all(w < 1.0)
 
@@ -230,11 +231,12 @@ def test_adam_on_one_flat_buffer_equals_adam_per_tensor():
 
     flat = rng.normal(size=bounds[-1]).astype(np.float32)
     tensors = [t.copy() for t in split(flat)]
-    whole, parts = nn.Adam([flat], lr=1e-2), nn.Adam(tensors, lr=1e-2)
+    whole, parts = nn.Adam(flat, lr=1e-2), [nn.Adam(t, lr=1e-2) for t in tensors]
     for _ in range(3):
         g = rng.normal(size=flat.size).astype(np.float32)
-        whole.step([g])
-        parts.step(split(g))
+        whole.step(g)
+        for part, g_part in zip(parts, split(g)):
+            part.step(g_part)
         assert np.array_equal(flat, np.concatenate([t.ravel() for t in tensors]))
 
 
@@ -254,5 +256,74 @@ def test_flatten_makes_views_that_backward_and_adam_write_through():
     assert net.backward(np.ones((5, 2), np.float32), input_grad=False) is None
     assert np.array_equal(grads[12:15], net.layers[0].db) and np.any(grads != 0)
     before = net.layers[3].w.copy()
-    nn.Adam([params]).step([grads])
+    nn.Adam(params).step(grads)
     assert not np.array_equal(net.layers[3].w, before)
+
+
+def test_sliced_adam_equals_one_pass_over_the_whole_buffer():
+    rng = np.random.default_rng(10)
+    size = 3 * nn.Adam.SLICE + 5   # three whole slices and a short fourth
+    sliced = rng.normal(size=size).astype(np.float32)
+    whole = sliced.copy()
+    opt, ref = nn.Adam(sliced, lr=1e-2), reference.Adam(whole, lr=1e-2)
+    for _ in range(3):
+        g = rng.normal(size=size).astype(np.float32)
+        opt.step(g)
+        ref.step(g)
+        assert np.array_equal(sliced, whole)
+        assert np.array_equal(opt.m, ref.m) and np.array_equal(opt.v, ref.v)
+
+
+def test_sliced_adam_raises_on_an_inf_in_the_last_slice():
+    size = 3 * nn.Adam.SLICE + 5
+    w = np.zeros(size, np.float32)
+    g = np.ones(size, np.float32)
+    g[-1] = np.inf
+    with pytest.raises(NumericalError):
+        nn.Adam(w).step(g)
+    # slices before the bad one were stepped; the run that sees this aborts
+    assert np.all(w[:3 * nn.Adam.SLICE] < 0) and np.all(w[3 * nn.Adam.SLICE:] == 0)
+
+
+def test_adam_rejects_gradients_of_another_shape():
+    opt = nn.Adam(np.zeros(6, np.float32))
+    for g in (np.zeros(5, np.float32), np.zeros((2, 3), np.float32)):
+        with pytest.raises(ValueError, match="shape"):
+            opt.step(g)
+
+
+# Signed zeros, infinities, and +-88, past where exp(-|x|) turns subnormal in f32.
+_EDGES = [0.0, -0.0, np.inf, -np.inf, 88.0, -88.0, 1.5, -1.5]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_equals_its_where_form_at_edge_values(dtype):
+    x = np.array(_EDGES, dtype)
+    got, want = nn.sigmoid(x), reference.sigmoid(x)
+    assert got.dtype == want.dtype == dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bce_grad_equals_its_where_form_at_edge_values(dtype):
+    eps = dtype(nn.BCE_EPS)
+    preds = _EDGES + [eps, dtype(1.0) - eps, 0.5, 1.0]
+    pred = np.array([preds] * 3, dtype)
+    target = np.array([[0.0], [0.5], [1.0]], dtype) * np.ones_like(pred)
+    got, want = nn.bce_grad(pred, target), reference.bce_grad(pred, target)
+    assert got.dtype == want.dtype == dtype
+    # equal as numbers: where the clamp zeroes a negative gradient the product
+    # form gives -0.0, which every later product and sum treats as 0
+    assert np.array_equal(got, want)
+    assert not np.any(np.delete(got, 10, axis=1))   # every prediction but 0.5 is clamped
+
+
+def test_relu_matches_its_where_form_and_passes_nan_through():
+    x = np.array([-0.0, 0.0, -1.5, 2.5, np.inf, -np.inf], np.float32)
+    relu = nn.ReLU()
+    assert relu.forward(x).tobytes() == reference.relu(x).tobytes()
+    # the one change from the where form: NaN stays NaN, so it reaches the
+    # loss instead of being zeroed; backward still masks it out
+    nan = relu.forward(np.array([np.nan, 1.0]))
+    assert np.isnan(nan[0]) and nan[1] == 1.0
+    assert np.array_equal(relu.backward(np.ones(2)), [0.0, 1.0])
