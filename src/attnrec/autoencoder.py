@@ -119,7 +119,7 @@ def _batch_slices(n: int, batch_size: int):
 
 
 def pretrain(ae: AttentiveAutoencoder, data, epochs: int = 200, batch_size: int = 128,
-             seed: int = 0, learning_rate: float = 1e-3) -> list:
+             seed: int = 0) -> list:
     """Train the autoencoder to reconstruct its input rows under BCE.
 
     Computes in float32 and shuffles the rows once per epoch. Returns the
@@ -134,7 +134,7 @@ def pretrain(ae: AttentiveAutoencoder, data, epochs: int = 200, batch_size: int 
         raise ValueError("pretraining needs at least 2 rows")
 
     rng = np.random.default_rng(seed)
-    optimizer = Adam(ae.params, lr=learning_rate)
+    optimizer = Adam(ae.params)
     history = []
     for epoch in range(epochs):
         order, top, total = rng.permutation(n), 0, 0.0

@@ -196,14 +196,14 @@ def train_als(r: InteractionMatrix, model: FactorModel, prior: np.ndarray,
     return trace
 
 
-def predict_scores(model: FactorModel, users, out=None) -> np.ndarray:
+def predict_scores(model: FactorModel, users) -> np.ndarray:
     """Article scores U[users] . V^T: a row for an int, a block for an index
-    array, written to ``out`` when given. Only the scored rows of U are cast
-    to f64, which is exact, so f32 factors score as their f64 copies would."""
+    array. Only the scored rows of U are cast to f64, which is exact, so f32
+    factors score as their f64 copies would."""
     users = np.asarray(users)
     if users.size and not (0 <= users.min() and users.max() < model.U.shape[0]):
         raise IndexError(f"user index out of range [0, {model.U.shape[0]})")
-    return np.matmul(model.U[users].astype(np.float64), model.V.T, out=out)
+    return model.U[users].astype(np.float64) @ model.V.T
 
 
 def save_factors(path, model: FactorModel, sweeps: int = 0):

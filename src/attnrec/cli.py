@@ -66,7 +66,6 @@ class ExperimentConfig:
     seed: int = 0
     vocab_size: int = 8000
     min_articles_per_tag: int = 5
-    n_splits: int = 4
     splits: tuple = (1, 2, 3)
     tol: float = 1e-4
     max_sweeps: int = 50
@@ -91,10 +90,11 @@ class ExperimentConfig:
                               f"got a={self.a}, b={self.b}")
         if not self.tol >= 0:  # also rejects NaN
             raise ConfigError(f"tol must be a number >= 0, got {self.tol}")
-        if not self.ks or any(k < 1 for k in self.ks):
-            raise ConfigError("ks must be a nonempty list of cutoffs >= 1")
-        if self.n_splits < 1 or any(not 0 <= s < self.n_splits for s in self.splits):
-            raise ConfigError("split indices must lie in [0, n_splits)")
+        for name, least in (("ks", 1), ("splits", 0)):
+            values = getattr(self, name)
+            if not values or min(values) < least or len(set(values)) < len(values):
+                raise ConfigError(f"{name} must be a nonempty list of distinct "
+                                  f"integers >= {least}, got {list(values)}")
         for name in self.autoencoders:
             widths = list(getattr(self, f"{name}_widths"))
             if widths[-1] != self.d:
@@ -184,40 +184,6 @@ def _write_json(path, obj, indent=2):
         fh.write("\n")
 
 
-class _RunDir:
-    """Stage outputs in a private scratch directory next to the final one and
-    publish it on success.
-
-    A failed command leaves no partial run directory behind. A published
-    directory is never replaced: when a concurrent run of the same key
-    publishes first, the rename fails and this run's staging is discarded,
-    since runs of one key write identical bytes.
-    """
-
-    def __init__(self, final: str):
-        self.final = final
-
-    def __enter__(self):
-        parent = os.path.dirname(self.final) or "."
-        os.makedirs(parent, exist_ok=True)
-        self.tmp = tempfile.mkdtemp(prefix=os.path.basename(self.final) + ".",
-                                    suffix=".partial", dir=parent)
-        os.chmod(self.tmp, 0o755)  # mkdtemp makes it private to the owner
-        return self.tmp
-
-    def __exit__(self, exc_type, exc, tb):
-        try:
-            if exc_type is None:
-                try:
-                    os.rename(self.tmp, self.final)
-                except OSError:
-                    if not os.path.isdir(self.final):  # not a concurrent publish
-                        raise
-        finally:
-            shutil.rmtree(self.tmp, ignore_errors=True)
-        return False
-
-
 def _stage(config: ExperimentConfig, kind: str, key: dict, build=None, reads=None) -> str:
     """The directory ``<out_dir>/<kind>-<hash of key>`` of one pipeline stage.
 
@@ -227,6 +193,12 @@ def _stage(config: ExperimentConfig, kind: str, key: dict, build=None, reads=Non
     is verified against its manifest, only in the files ``reads`` names when
     given; a miss runs ``build(tmp)``, which returns stats, and publishes the
     key, the stats and the file digests.
+
+    ``tmp`` is a private staging directory next to the final one, renamed
+    into place on success and removed either way, so a failed build leaves
+    no partial stage. A published stage is never replaced: when a concurrent
+    build of the same key publishes first, the rename fails and this staging
+    is discarded, since builds of one key write identical bytes.
     """
     final = os.path.join(config.out_dir, f"{kind}-{_digest12(key)}")
     if build is None:
@@ -238,10 +210,21 @@ def _stage(config: ExperimentConfig, kind: str, key: dict, build=None, reads=Non
         _verify_stage(final, reads)
         return final
     logger.info("stage miss: %s", os.path.basename(final))
-    with _RunDir(final) as tmp:
+    parent = config.out_dir or "."
+    os.makedirs(parent, exist_ok=True)
+    tmp = tempfile.mkdtemp(prefix=os.path.basename(final) + ".", suffix=".partial", dir=parent)
+    try:
+        os.chmod(tmp, 0o755)  # mkdtemp makes it private to the owner
         stats = build(tmp)
         files = _digests(os.path.join(tmp, n) for n in sorted(os.listdir(tmp)))
         _write_json(os.path.join(tmp, "manifest.json"), {**key, "stats": stats, "files": files})
+        try:
+            os.rename(tmp, final)
+        except OSError:
+            if not os.path.isdir(final):  # not a concurrent publish
+                raise
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
     return final
 
 
@@ -308,7 +291,7 @@ def _train_key(config: ExperimentConfig, pre: str) -> dict:
     return {"inputs": inputs,
             **{name: getattr(config, name) for name in (
                 "variant", "p", "d", "lambda_u", "lambda_v", "a", "b", "seed",
-                "n_splits", "splits", "tol", "max_sweeps")}}
+                "splits", "tol", "max_sweeps")}}
 
 
 def _trained(config: ExperimentConfig, pre: str) -> str:
@@ -495,18 +478,11 @@ def _model(config: ExperimentConfig, train_dir: str, index, interactions, source
 
 def _scorer(model, r_train):
     """Scores for an int user or an index array; pop, with no model, gives
-    one shared row of training counts. An index array's block is written to
-    one array the scorer keeps, so each call overwrites the last block."""
+    one shared row of training counts."""
     if model is None:
         counts = r_train.item_counts().astype(np.float64)
         return lambda users: counts
-    held = [np.empty((0, len(model.V)))]
-
-    def score(users):
-        if np.ndim(users) and len(users) > len(held[0]):
-            held[0] = np.empty((len(users), len(model.V)))
-        return cf.predict_scores(model, users, held[0][:len(users)] if np.ndim(users) else None)
-    return score
+    return lambda users: cf.predict_scores(model, users)
 
 
 def cmd_evaluate(config: ExperimentConfig, args) -> int:
@@ -523,8 +499,7 @@ def cmd_evaluate(config: ExperimentConfig, args) -> int:
     key = {"inputs": {"preprocess": os.path.basename(pre),
                       "scored": [os.path.basename(t) for _, t in scored]},
            "compare": args.compare,
-           **{name: getattr(config, name) for name in ("p", "seed", "n_splits", "splits",
-                                                       "ks")}}
+           **{name: getattr(config, name) for name in ("p", "seed", "splits", "ks")}}
 
     def build(tmp):
         source = os.path.join(pre, "interactions.bin")
@@ -579,8 +554,8 @@ def cmd_recommend(config: ExperimentConfig, args) -> int:
     if not 0 <= args.user_id < interactions.n_users:
         raise ConfigError(f"user id must lie in [0, {interactions.n_users})")
     index = args.split if args.split is not None else config.splits[0]
-    if not 0 <= index < config.n_splits:
-        raise ConfigError(f"split must lie in [0, {config.n_splits})")
+    if index < 0:
+        raise ConfigError(f"split must be >= 0, got {index}")
     model = _model(config, _trained(config, pre), index, interactions, source)
     r_train, = _stored_split(config, pre, interactions, index, "train.bin")
     scores = _scorer(model, r_train)(args.user_id)

@@ -172,13 +172,10 @@ class Vocabulary:
 # text utilities
 # --------------------------------------------------------------------------
 
-def load_stop_words(path=None) -> frozenset:
-    """Stop-word set; defaults to the bundled standard English list."""
-    if path is None:
-        text = resources.files("attnrec.data").joinpath("stopwords.txt").read_text("utf-8")
-    else:
-        text = Path(path).read_text(encoding="utf-8")
-    return frozenset(w for w in text.split() if w)
+def load_stop_words() -> frozenset:
+    """The bundled standard English stop-word set."""
+    text = resources.files("attnrec.data").joinpath("stopwords.txt").read_text("utf-8")
+    return frozenset(text.split())
 
 
 def tokenize(text: str) -> list:

@@ -19,7 +19,6 @@ import numpy as np
 from .corpus import InteractionMatrix
 from .errors import ConfigError, NumericalError
 
-DEFAULT_KS = (50, 100, 150, 200, 250, 300)
 BLOCK_SCORES = 1 << 18  # values held per block of users: 2 MB of f64
 
 
@@ -52,7 +51,7 @@ def _pack(rows, ids, n_rows: int, width: int) -> np.ndarray:
     return out
 
 
-def top_k(scores, k: int, exclude=None, *, order=None, out=None) -> np.ndarray:
+def top_k(scores, k: int, exclude=None, *, order=None) -> np.ndarray:
     """Indices of the k largest scores, ties toward the lower index.
 
     Excluded indices leave the candidate pool entirely, so a list holds
@@ -61,7 +60,7 @@ def top_k(scores, k: int, exclude=None, *, order=None, out=None) -> np.ndarray:
     n rows, with an (n, m) score block or one (m,) row shared by all n, gives
     an (n, min(k, m)) block whose rows are padded with -1 past their
     candidates. A shared row's stable descending argsort may come as
-    ``order``; an (n, m) f64 ``out`` holds a block's working copy.
+    ``order``.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
@@ -72,10 +71,10 @@ def top_k(scores, k: int, exclude=None, *, order=None, out=None) -> np.ndarray:
         ids = np.asarray([] if exclude is None else exclude, dtype=np.intp)
         picks = _rank(s[None, :], k, np.array([0, ids.size]), ids)[0]
         return picks[picks >= 0]
-    return _rank(s, k, exclude.indptr, exclude.indices, order, out)
+    return _rank(s, k, exclude.indptr, exclude.indices, order)
 
 
-def _rank(s, k, indptr, indices, order=None, out=None) -> np.ndarray:
+def _rank(s, k, indptr, indices, order=None) -> np.ndarray:
     """The block form of top_k, with the exclusions as CSR arrays."""
     n_rows, m = indptr.size - 1, s.shape[-1]
     kk = min(k, m)
@@ -90,7 +89,7 @@ def _rank(s, k, indptr, indices, order=None, out=None) -> np.ndarray:
         rows, pos = np.nonzero(take)
         return _pack(rows, head[pos], n_rows, kk)
     # Exact either way, but rows of many tied scores partition far faster negated.
-    part = np.negative(s, out=out)
+    part = np.negative(s)
     part[ex_rows, indices] = np.inf
     part.partition(kk - 1, axis=1)
     kth = -part[:, kk - 1, None]  # the kk-th largest candidate score of each row
@@ -175,8 +174,7 @@ class MetricReport:
 
 
 def evaluate(score_fn, r_train: InteractionMatrix, r_test: InteractionMatrix,
-             ks=DEFAULT_KS, *, variant: str = "", setting: str = "",
-             split: int = 0) -> list:
+             ks, *, variant: str = "", setting: str = "", split: int = 0) -> list:
     """Average recall and nDCG over users with a nonempty test set.
 
     ``score_fn(users)`` takes an index array of users and returns their
@@ -191,14 +189,13 @@ def evaluate(score_fn, r_train: InteractionMatrix, r_test: InteractionMatrix,
     # a user takes n_articles scores and about four K-wide arrays to rank
     step = max(1, BLOCK_SCORES // (r_test.n_articles + 4 * ks[-1]))
     values = np.empty((users.size, 2, len(ks)))
-    part, order = np.empty((min(step, users.size), r_test.n_articles)), None
+    order = None
     for start in range(0, users.size, step):
         block = users[start:start + step]
         scores = score_fn(block)
         if np.ndim(scores) == 1 and order is None:  # a shared row is ranked once
             order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
-        ranked = top_k(scores, ks[-1], exclude=_cut(r_train.matrix, block), order=order,
-                       out=part[:block.size])
+        ranked = top_k(scores, ks[-1], exclude=_cut(r_train.matrix, block), order=order)
         held = _cut(r_test.matrix, block)
         values[start:start + block.size, 0] = recall_at_k(ranked, held, ks)
         values[start:start + block.size, 1] = ndcg_at_k(ranked, held, ks)

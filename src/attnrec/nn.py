@@ -138,17 +138,11 @@ class BatchNorm(Layer):
     trained = ("gamma", "beta")
     state = ("running_mean", "running_var")
 
-    def __init__(self, dim: int, eps: float = BN_EPS, momentum: float = BN_MOMENTUM):
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        if not 0.0 < momentum < 1.0:
-            raise ValueError("momentum must lie in (0, 1)")
+    def __init__(self, dim: int):
         self.gamma = np.ones(dim)
         self.beta = np.zeros(dim)
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
-        self.eps = eps
-        self.momentum = momentum
         self.dgamma = np.zeros_like(self.gamma)
         self.dbeta = np.zeros_like(self.beta)
         self._cache = None
@@ -161,14 +155,14 @@ class BatchNorm(Layer):
             mean = np.add.reduce(x, 0) / x.shape[0]
             xc = x - mean
             var = np.add.reduce(xc * xc, 0) / x.shape[0]
-            inv_std = 1.0 / np.sqrt(var + self.eps)
+            inv_std = 1.0 / np.sqrt(var + BN_EPS)
             xhat = xc * inv_std
             for running, batch in ((self.running_mean, mean), (self.running_var, var)):
-                running *= self.momentum  # in place, so the state keeps its dtype
-                running += (1.0 - self.momentum) * batch
+                running *= BN_MOMENTUM  # in place, so the state keeps its dtype
+                running += (1.0 - BN_MOMENTUM) * batch
             self._cache = (xhat, inv_std)
         else:
-            inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
+            inv_std = 1.0 / np.sqrt(self.running_var + BN_EPS)
             xhat = (x - self.running_mean) * inv_std
             self._cache = None  # backward is only defined for training mode
         return self.gamma * xhat + self.beta

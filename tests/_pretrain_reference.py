@@ -65,14 +65,14 @@ def _forward(layer, x, training):
         return x @ layer.w + layer.b, x
     if isinstance(layer, nn.BatchNorm):
         if not training:
-            inv_std = 1.0 / np.sqrt(layer.running_var + layer.eps)
+            inv_std = 1.0 / np.sqrt(layer.running_var + nn.BN_EPS)
             return layer.gamma * ((x - layer.running_mean) * inv_std) + layer.beta, None
         mean, var = x.mean(axis=0), x.var(axis=0)
-        inv_std = 1.0 / np.sqrt(var + layer.eps)
+        inv_std = 1.0 / np.sqrt(var + nn.BN_EPS)
         xhat = (x - mean) * inv_std
         for running, batch in ((layer.running_mean, mean), (layer.running_var, var)):
-            running *= layer.momentum
-            running += (1.0 - layer.momentum) * batch
+            running *= nn.BN_MOMENTUM
+            running += (1.0 - nn.BN_MOMENTUM) * batch
         return layer.gamma * xhat + layer.beta, (xhat, inv_std)
     if isinstance(layer, nn.ReLU):
         return relu(x), x > 0

@@ -346,7 +346,5 @@ def test_loaded_factors_score_as_their_f64_copies(tmp_path):
     f64 = cf.FactorModel(U=loaded.U.astype(np.float64), V=loaded.V, lambda_u=0.7,
                          lambda_v=0.3)
     block = np.array([6, 0, 3])
-    out = np.empty((3, 11))
-    assert cf.predict_scores(loaded, block, out) is out
-    assert np.array_equal(out, f64.U[block] @ f64.V.T)
+    assert np.array_equal(cf.predict_scores(loaded, block), f64.U[block] @ f64.V.T)
     assert np.array_equal(cf.predict_scores(loaded, 2), f64.U[2] @ f64.V.T)

@@ -4,6 +4,7 @@ import logging
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from attnrec.errors import NumericalError
 COMMON = ["--variant", "cata++", "--p", "1", "--d", "6",
           "--text-widths", "24,6", "--tag-widths", "10,6",
           "--epochs", "8", "--batch-size", "32", "--vocab-size", "60",
-          "--min-articles-per-tag", "3", "--n-splits", "2", "--splits", "1",
+          "--min-articles-per-tag", "3", "--splits", "1",
           "--max-sweeps", "6", "--ks", "5,10", "--seed", "3"]
 
 
@@ -103,7 +104,7 @@ def test_wrmf_trains_without_autoencoders(workspace):
     data, runs = workspace
     args = lambda cmd: [cmd, "--data-dir", str(data), "--out-dir", str(runs),
                         "--variant", "wrmf", "--p", "1", "--d", "6",
-                        "--n-splits", "2", "--splits", "1", "--max-sweeps", "4",
+                        "--splits", "1", "--max-sweeps", "4",
                         "--ks", "5", "--seed", "3"]
     assert cli.main(args("preprocess")) == 0
     assert cli.main(args("train")) == 0
@@ -116,7 +117,7 @@ def test_wrmf_trains_without_autoencoders(workspace):
 def test_pop_variant_needs_no_training(workspace):
     data, runs = workspace
     args = ["--data-dir", str(data), "--out-dir", str(runs), "--variant", "pop",
-            "--p", "1", "--n-splits", "2", "--splits", "1", "--ks", "5",
+            "--p", "1", "--splits", "1", "--ks", "5",
             "--seed", "3"]
     assert cli.main(["preprocess", *args]) == 0
     assert cli.main(["evaluate", *args]) == 0
@@ -201,7 +202,7 @@ def test_config_validation_errors():
     with pytest.raises(cli.ConfigError):
         cli.load_config(None, {"p": 0})
     with pytest.raises(cli.ConfigError):
-        cli.load_config(None, {"splits": "5", "n_splits": 4})
+        cli.load_config(None, {"splits": "1,-1"})
 
 
 @pytest.mark.parametrize("flag, value, field", [
@@ -212,6 +213,10 @@ def test_config_validation_errors():
     ("--tol", "nan", "tol"),
     ("--max-sweeps", "0", "max_sweeps"),
     ("--vocab-size", "0", "vocab_size"),
+    ("--splits", "1,1", "splits"),
+    ("--ks", "5,5", "ks"),
+    ("--splits", "-1", "splits"),
+    ("--splits", "", "splits"),
 ])
 def test_out_of_range_config_values_exit_1(tmp_path, capsys, flag, value, field):
     rc = cli.main(["train", "--out-dir", str(tmp_path), f"{flag}={value}"])
@@ -226,7 +231,7 @@ def test_zero_tol_is_valid():
 def test_recommend_rejects_k_below_one(workspace, capsys):
     data, runs = workspace
     args = ["--data-dir", str(data), "--out-dir", str(runs), "--variant", "pop",
-            "--n-splits", "2", "--splits", "1"]
+            "--splits", "1"]
     assert cli.main(["preprocess", *args]) == 0
     for k in ("0", "-2"):
         capsys.readouterr()
@@ -235,16 +240,23 @@ def test_recommend_rejects_k_below_one(workspace, capsys):
 
 
 def test_concurrent_runs_of_one_config_both_succeed(tmp_path):
-    # Each run stages privately: a second run of the same settings must not
+    # Each build stages privately: a second build of the same key must not
     # disturb the first one's staging, and the later finisher stands down.
-    final = tmp_path / "runs" / "train-0123456789ab"
-    with cli._RunDir(str(final)) as outer:
-        (Path(outer) / "out.txt").write_text("same")
-        with cli._RunDir(str(final)) as inner:
-            assert inner != outer
-            (Path(inner) / "out.txt").write_text("same")
-    assert os.listdir(tmp_path / "runs") == [final.name]
-    assert (final / "out.txt").read_text() == "same"
+    config = cli.ExperimentConfig(out_dir=str(tmp_path / "runs"))
+    key, staged = {"inputs": {}}, []
+
+    def build(tmp):
+        staged.append(tmp)
+        (Path(tmp) / "out.txt").write_text("same")
+        if len(staged) == 1:  # the inner build of the same key publishes first
+            assert cli._stage(config, "train", key, build) == final
+        return {}
+
+    final = os.path.join(config.out_dir, "train-" + cli._digest12(key))
+    assert cli._stage(config, "train", key, build) == final
+    assert os.listdir(config.out_dir) == [os.path.basename(final)]
+    assert (Path(final) / "out.txt").read_text() == "same"
+    assert len(set(staged)) == 2
 
 
 def _printed(out, prefix):
@@ -279,7 +291,7 @@ def test_data_dir_env_default(tmp_path, monkeypatch):
 
 def test_evaluate_compare_derives_each_split_once(workspace, monkeypatch):
     data, runs = workspace
-    extra = ("--variant", "wrmf", "--n-splits", "3", "--splits", "1,2")
+    extra = ("--variant", "wrmf", "--splits", "1,2")
     calls = []
     make_split = evaluation.make_split
     monkeypatch.setattr(evaluation, "make_split",
@@ -333,7 +345,7 @@ def test_recommend_with_damaged_factor_checkpoint_exits_2(workspace, capsys, dam
 
 def test_train_derives_only_the_configured_splits(workspace, monkeypatch):
     data, runs = workspace
-    extra = ("--variant", "wrmf", "--n-splits", "4", "--splits", "2")
+    extra = ("--variant", "wrmf", "--splits", "2")
     assert cli.main(_args("preprocess", data, runs, *extra)) == 0
     calls = []
     make_split = evaluation.make_split
@@ -341,6 +353,38 @@ def test_train_derives_only_the_configured_splits(workspace, monkeypatch):
                         lambda *a: calls.append(1) or make_split(*a))
     assert cli.main(_args("train", data, runs, *extra)) == 0
     assert len(calls) == 1
+
+
+def test_split_index_past_four_trains_and_recommends(workspace, capsys):
+    # A split is drawn from the split seed and its index alone; no count bounds it.
+    data, runs = workspace
+    extra = ("--variant", "wrmf", "--splits", "5")
+    assert cli.main(_args("preprocess", data, runs, *extra)) == 0
+    assert cli.main(_args("train", data, runs, *extra)) == 0
+    assert (_single_run_dir(runs, "train-") / "factors-split5.bin").is_file()
+    capsys.readouterr()
+    assert cli.main(_args("recommend", data, runs, *extra, "--k", "3", "3")) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+def test_recommend_rejects_a_negative_split(workspace, capsys):
+    data, runs = workspace
+    assert cli.main(_args("preprocess", data, runs, "--variant", "pop")) == 0
+    capsys.readouterr()
+    assert cli.main(_args("recommend", data, runs, "--variant", "pop", "--split", "-1",
+                          "3")) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "split must be >= 0" in err and "Traceback" not in err
+
+
+def test_readme_config_example_matches_the_defaults():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Config files", 1)[1]
+    example = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+    defaults = {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+                for f in fields(cli.ExperimentConfig)
+                if f.name not in ("data_dir", "out_dir")}
+    assert example == defaults
 
 
 def test_recommend_with_nan_factors_exits_2(workspace, capsys):
@@ -673,7 +717,7 @@ def test_split_stage_holds_the_derived_split(workspace, tmp_path, p):
     # recommend --variant pop needs no train stage, so it builds the split
     # stage itself; its bytes are what make_split gives on the split stream.
     data, runs = workspace
-    extra = ("--variant", "pop", "--p", str(p), "--n-splits", "4")
+    extra = ("--variant", "pop", "--p", str(p))
     assert cli.main(_args("preprocess", data, runs, *extra)) == 0
     for index in range(4):
         assert cli.main(_args("recommend", data, runs, *extra, "--split", str(index), "3")) == 0
@@ -734,8 +778,8 @@ def test_split_stage_is_keyed_by_what_reaches_the_split(workspace):
     base = splits()
     assert len(base) == 1
     # settings the derivation does not read reuse the one stage
-    for command, more in (("train", ("--lambda-v", "10")), ("train", ("--n-splits", "4")),
-                          ("train", ("--n-splits", "5")), ("evaluate", ("--n-splits", "5")),
+    for command, more in (("train", ("--lambda-v", "10")), ("train", ("--tol", "0.5")),
+                          ("train", ("--max-sweeps", "3")), ("evaluate", ("--tol", "0.5")),
                           ("recommend", ("--variant", "pop", "3")),
                           ("evaluate", ("--variant", "pop"))):
         assert cli.main(_args(command, data, runs, *extra, *more)) == 0
@@ -779,7 +823,7 @@ def test_one_parser_serves_every_call_without_carrying_values(workspace, tmp_pat
     data, runs = workspace
     args = lambda cmd, out, *extra: [cmd, "--data-dir", str(data), "--out-dir", str(out),
                                      "--variant", "wrmf", "--p", "1", "--d", "6",
-                                     "--n-splits", "2", "--splits", "1", "--max-sweeps", "4",
+                                     "--splits", "1", "--max-sweeps", "4",
                                      "--ks", "5", "--seed", "3", *extra]
     assert cli.build_parser() is cli.build_parser()
     seen, real = [], cli.cmd_train

@@ -59,7 +59,7 @@ def test_cli_splits_vary_by_index_and_repeat_per_seed():
     libraries = [sorted(rng.choice(40, size=10, replace=False).tolist())
                  for _ in range(10)]
     r = _library_matrix(libraries, 40)
-    config = cli.load_config(None, {"p": 1, "seed": 5, "n_splits": 4})
+    config = cli.load_config(None, {"p": 1, "seed": 5})
     splits = [cli._split(config, r, index) for index in range(4)]
     first = splits[0][0].matrix.toarray()
     assert any(not np.array_equal(first, s[0].matrix.toarray()) for s in splits[1:])
@@ -386,9 +386,8 @@ def test_evaluate_computes_each_metric_once_per_block(monkeypatch):
 
 
 @pytest.mark.parametrize("variant", ["wrmf", "pop"])
-def test_evaluate_through_reused_block_buffers_equals_reference(monkeypatch, variant):
-    # Blocks of 7 users over 26 evaluated users: the last block is shorter,
-    # and it is ranked through the leading rows of the held buffers.
+def test_evaluate_in_blocks_equals_reference(monkeypatch, variant):
+    # Blocks of 7 users over 26 evaluated users: the last block is shorter.
     monkeypatch.setattr(ev, "BLOCK_SCORES", 7 * (80 + 4 * 10))
     rng = np.random.default_rng(14)
     r = _random_matrix(rng, 30, 80, 0.08)
@@ -402,14 +401,12 @@ def test_evaluate_through_reused_block_buffers_equals_reference(monkeypatch, var
     else:
         model, row = None, lambda i: train.item_counts().astype(np.float64)  # noqa: E731
     reference = ref.evaluate(row, train, test, [5, 10])
-    outs, blocks, orders, real = [], [], [], ev.top_k
-    monkeypatch.setattr(ev, "top_k", lambda s, k, **kw: outs.append(kw["out"])
-                        or blocks.append(s) or orders.append(kw["order"]) or real(s, k, **kw))
+    sizes, orders, real = [], [], ev.top_k
+    monkeypatch.setattr(ev, "top_k", lambda s, k, **kw: sizes.append(kw["exclude"].shape[0])
+                        or orders.append(kw["order"]) or real(s, k, **kw))
     assert ev.evaluate(cli._scorer(model, train), train, test, [5, 10]) == reference
-    assert len(outs) == -(-users.size // 7) and len(outs[-1]) == users.size % 7
-    assert all(np.shares_memory(out, outs[0]) for out in outs)
+    assert len(sizes) == -(-users.size // 7) and sizes[-1] == users.size % 7
     if variant == "wrmf":
-        assert all(np.shares_memory(s, blocks[0]) for s in blocks)
-        assert orders == [None] * len(outs)
+        assert orders == [None] * len(sizes)
     else:  # the shared row is sorted once for every block
         assert orders[0] is not None and all(o is orders[0] for o in orders)
