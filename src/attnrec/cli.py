@@ -556,6 +556,9 @@ def cmd_recommend(config: ExperimentConfig, args) -> int:
     index = args.split if args.split is not None else config.splits[0]
     if index < 0:
         raise ConfigError(f"split must be >= 0, got {index}")
+    if config.variant != "pop" and index not in config.splits:
+        raise ConfigError(f"split {index} was not trained; --splits trains "
+                          f"{','.join(map(str, config.splits))}")
     model = _model(config, _trained(config, pre), index, interactions, source)
     r_train, = _stored_split(config, pre, interactions, index, "train.bin")
     scores = _scorer(model, r_train)(args.user_id)

@@ -84,8 +84,11 @@ def _rank(s, k, indptr, indices, order=None) -> np.ndarray:
         # it excludes, so the head holds every row's first kk candidates.
         order = np.argsort(-s, kind="stable") if order is None else order
         head = order[:kk + int(np.diff(indptr).max(initial=0))]
-        take = ~_member(indptr, indices, (n_rows, m))[:, head]
-        take &= np.cumsum(take, axis=1) <= kk
+        at = np.full(m, head.size)  # each article's head column; a spare one past it
+        at[head] = np.arange(head.size)
+        take = np.ones((n_rows, head.size + 1), dtype=bool)
+        take[ex_rows, at[indices]] = False
+        take = take[:, :-1] & (np.cumsum(take[:, :-1], axis=1) <= kk)
         rows, pos = np.nonzero(take)
         return _pack(rows, head[pos], n_rows, kk)
     # Exact either way, but rows of many tied scores partition far faster negated.
@@ -98,8 +101,11 @@ def _rank(s, k, indptr, indices, order=None) -> np.ndarray:
     take[ex_rows, indices] = tie[ex_rows, indices] = False
     straddle = np.flatnonzero(np.count_nonzero(tie, axis=1) > need)  # keep lowest tied ids
     tie[straddle] &= np.cumsum(tie[straddle], axis=1) <= need[straddle, None]
-    rows, ids = np.divmod(np.flatnonzero(take | tie), m)
-    return _pack(rows, ids[np.lexsort((ids, -s[rows, ids], rows))], n_rows, kk)
+    # Ids ascend within each packed row, so a stable row sort keeps ties
+    # toward the lower id; padding sorts last, after any real -inf score.
+    picks = _pack(*np.divmod(np.flatnonzero(take | tie), m), n_rows, kk)
+    keys = np.where(picks < 0, np.inf, np.negative(s[np.arange(n_rows)[:, None], picks]))
+    return np.take_along_axis(picks, np.argsort(keys, axis=1, kind="stable"), axis=1)
 
 
 def _cut(matrix, rows):
@@ -128,7 +134,9 @@ def _hits(recommended, test_items, k, metric: str):
         found, n_held = np.isin(ranked, test)[None, :], np.array([test.size])
     if np.any(n_held == 0):
         raise ConfigError(f"{metric} undefined for an empty test set")
-    return np.pad(found, ((0, 0), (0, ks.max() - found.shape[1]))), n_held, ks
+    if found.shape[1] < ks.max():
+        found = np.pad(found, ((0, 0), (0, ks.max() - found.shape[1])))
+    return found, n_held, ks
 
 
 def _shaped(out, recommended, k):

@@ -56,6 +56,14 @@ class SynthConfig:
             raise ConfigError("max library exceeds cluster size")
         if not 0.0 <= self.cluster_token_fraction <= 1.0:
             raise ConfigError("cluster token fraction must lie in [0, 1]")
+        shared = round(self.doc_length * self.cluster_token_fraction) < self.doc_length
+        for name, least in (("n_users", 1), ("doc_length", 1), ("words_per_cluster", 1),
+                            ("tags_per_cluster", 1), ("shared_words", int(shared)),
+                            ("min_tags_per_article", 1), ("citations_per_article", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if self.min_tags_per_article > self.max_tags_per_article:
+            raise ConfigError("min_tags_per_article must not exceed max_tags_per_article")
 
 
 @dataclass
@@ -84,23 +92,25 @@ def generate(config: SynthConfig) -> SynthData:
     rng = np.random.default_rng(config.seed)
     c = config.n_clusters
 
+    # Cluster k's words are ids k*wpc ... k*wpc + wpc - 1; the shared pool follows.
     wpc = config.words_per_cluster
-    all_cluster_words = [_word("zw", i) for i in range(c * wpc)]
-    cluster_words = [all_cluster_words[k * wpc:(k + 1) * wpc] for k in range(c)]
-    shared_pool = [_word("zs", w) for w in range(config.shared_words)]
+    words = np.array([_word("zw", i) for i in range(c * wpc)]
+                     + [_word("zs", w) for w in range(config.shared_words)], dtype=object)
 
     article_cluster = np.arange(config.n_articles) % c
     rng.shuffle(article_cluster)
     cluster_members = [np.flatnonzero(article_cluster == k) for k in range(c)]
 
+    # Draws and swaps on word ids match rng.choice and rng.shuffle on word lists.
     docs = []
+    n_cluster_tokens = int(round(config.doc_length * config.cluster_token_fraction))
     for j in range(config.n_articles):
-        pool = cluster_words[article_cluster[j]]
-        n_cluster_tokens = int(round(config.doc_length * config.cluster_token_fraction))
-        tokens = list(rng.choice(pool, size=n_cluster_tokens))
-        tokens += list(rng.choice(shared_pool, size=config.doc_length - n_cluster_tokens))
-        rng.shuffle(tokens)
-        docs.append(" ".join(tokens))
+        ids = np.concatenate((
+            wpc * article_cluster[j] + rng.integers(0, wpc, size=n_cluster_tokens),
+            c * wpc + rng.integers(0, config.shared_words,
+                                   size=config.doc_length - n_cluster_tokens)))
+        rng.shuffle(ids)
+        docs.append(" ".join(words[ids]))
 
     tags = []
     for j in range(config.n_articles):

@@ -896,3 +896,25 @@ def test_article_id_past_u32_names_users_dat_line(workspace, capsys):
     err = _refused(capsys, _args("preprocess", data, runs, "--variant", "wrmf"), users)
     assert f"{users}: line {n_lines + 1}: article 5000000000 out of range" in err
     assert not list(runs.glob("preprocess-*"))
+
+
+def test_recommend_refuses_a_split_that_was_not_trained(workspace, capsys):
+    data, runs = workspace
+    extra = ("--variant", "wrmf", "--splits", "1,2")
+    assert cli.main(_args("preprocess", data, runs, *extra)) == 0
+    assert cli.main(_args("train", data, runs, *extra)) == 0
+    capsys.readouterr()
+    assert cli.main(_args("recommend", data, runs, *extra, "--split", "7", "3")) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert "split 7 was not trained" in err and "1,2" in err
+
+
+def test_recommend_pop_accepts_any_split(workspace, capsys):
+    data, runs = workspace
+    extra = ("--variant", "pop", "--splits", "1")
+    assert cli.main(_args("preprocess", data, runs, *extra)) == 0
+    capsys.readouterr()
+    assert cli.main(_args("recommend", data, runs, *extra, "--split", "7", "--k", "3",
+                          "3")) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3

@@ -410,3 +410,41 @@ def test_evaluate_in_blocks_equals_reference(monkeypatch, variant):
         assert orders == [None] * len(sizes)
     else:  # the shared row is sorted once for every block
         assert orders[0] is not None and all(o is orders[0] for o in orders)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_top_k_block_and_shared_row_equal_reference_on_extreme_scores(seed):
+    # Ties, signed zeros, both infinities and rows with fewer candidates than k:
+    # every row of both paths must equal its own full stable argsort.
+    rng = np.random.default_rng([20, seed])
+    values = np.array([-2.0, -1.0, 0.0, 1.0, 2.0, -0.0, np.inf, -np.inf])
+    for _ in range(250):
+        n, m, k = int(rng.integers(1, 8)), int(rng.integers(1, 41)), int(rng.integers(1, 50))
+        block = rng.choice(values, size=(n, m), p=[0.14] * 5 + [0.1] * 3)
+        exclude = sparse.csr_matrix(rng.random((n, m)) < rng.random())
+        for scores in (block, block[0]):       # the block path, and one shared row
+            got = ev.top_k(scores, k, exclude=exclude)
+            assert got.shape == (n, min(k, m))
+            for i in range(n):
+                row = scores if scores.ndim == 1 else scores[i]
+                want = ref.top_k(row, k, exclude=exclude[i].indices).tolist()
+                assert got[i].tolist() == want + [-1] * (got.shape[1] - len(want))
+
+
+@pytest.mark.parametrize("ks", [[2, 4], [3, 9]])   # max(ks) within and past 6 ranked ids
+def test_hits_padded_or_not_equal_single_list_metrics(ks):
+    rng = np.random.default_rng(ks[-1])
+    ranked = np.array([rng.permutation(15)[:6] for _ in range(4)])
+    ranked[2, 3:] = -1                       # a row with fewer candidates
+    member = rng.random((4, 15)) < 0.4
+    member[:, ranked[:, 0]] = True
+    held = sparse.csr_matrix(member)
+    hits, _, _ = ev._hits(ranked, held, ks, "recall")
+    assert hits.shape == (4, ks[-1])      # cut to, or padded out to, max(ks)
+    recall, ndcg = ev.recall_at_k(ranked, held, ks), ev.ndcg_at_k(ranked, held, ks)
+    for i in range(4):
+        ids = ranked[i][ranked[i] >= 0].tolist()
+        test = np.flatnonzero(member[i]).tolist()
+        for j, k in enumerate(ks):
+            assert recall[i, j] == ref.recall_at_k(ids, test, k)
+            assert ndcg[i, j] == ref.ndcg_at_k(ids, test, k)

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from attnrec import synth
+import _synth_reference as synth_ref
+from attnrec import cli, synth
 from attnrec.corpus import tokenize
 from attnrec.errors import ConfigError
 
@@ -70,3 +71,68 @@ def test_config_validation():
                           max_library=30).validate()
     with pytest.raises(ConfigError):
         synth.SynthConfig(min_library=1).validate()
+
+
+# (config, the name of the test): the default and two other seeds, the
+# citeulike-a shape, an odd small config with no cluster tokens, and one
+# with no shared tokens.
+REFERENCE_CONFIGS = [
+    (dict(), "default"),
+    (dict(seed=7), "seed 7"),
+    (dict(n_users=5551, n_articles=16980, n_clusters=80, words_per_cluster=100,
+          shared_words=400, tags_per_cluster=93, min_tags_per_article=3,
+          max_tags_per_article=8, min_library=10, max_library=64, seed=3), "citeulike shape"),
+    (dict(n_clusters=3, n_articles=90, doc_length=17, cluster_token_fraction=0.0,
+          words_per_cluster=4, min_library=2, max_library=20), "odd"),
+    (dict(cluster_token_fraction=1.0, seed=2), "cluster tokens only"),
+]
+
+
+@pytest.mark.parametrize("config", [c for c, _ in REFERENCE_CONFIGS],
+                         ids=[name for _, name in REFERENCE_CONFIGS])
+def test_generate_equals_reference(tmp_path, config):
+    # Later draws share the generator's stream, so equal tags, citations and
+    # libraries also show that document drawing leaves the stream unchanged.
+    fast = synth.generate(synth.SynthConfig(**config))
+    slow = synth_ref.generate(synth.SynthConfig(**config))
+    for field in ("libraries", "docs", "tags", "citations", "user_clusters", "config"):
+        assert getattr(fast, field) == getattr(slow, field), field
+    assert np.array_equal(fast.article_cluster, slow.article_cluster)
+    synth.write_dataset(fast, tmp_path / "fast")
+    synth.write_dataset(slow, tmp_path / "slow")
+    for name in ("users.dat", "docs.txt", "tags.dat", "citations.dat", "truth.json"):
+        assert filecmp.cmp(tmp_path / "fast" / name, tmp_path / "slow" / name,
+                           shallow=False), name
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--doc-length", "-5", "doc_length"),
+    ("--doc-length", "0", "doc_length"),
+    ("--n-users", "-3", "n_users"),
+    ("--n-users", "0", "n_users"),
+])
+def test_synth_cli_refuses_counts_below_one(tmp_path, capsys, flag, value, field):
+    rc = cli.main(["synth", "--data-dir", str(tmp_path / "data"), flag, value])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert field in err and "Traceback" not in err
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("overrides, field", [
+    (dict(words_per_cluster=0), "words_per_cluster"),
+    (dict(tags_per_cluster=0), "tags_per_cluster"),
+    (dict(shared_words=0), "shared_words"),
+    (dict(min_tags_per_article=0), "min_tags_per_article"),
+    (dict(min_tags_per_article=5, max_tags_per_article=4), "min_tags_per_article"),
+    (dict(citations_per_article=-1), "citations_per_article"),
+])
+def test_config_validation_names_the_field(overrides, field):
+    with pytest.raises(ConfigError, match=field):
+        synth.SynthConfig(**overrides).validate()
+
+
+def test_no_shared_words_is_valid_without_shared_tokens():
+    config = synth.SynthConfig(**SMALL, shared_words=0, cluster_token_fraction=1.0)
+    config.validate()
+    assert all(len(tokenize(doc)) == SMALL["doc_length"] for doc in synth.generate(config).docs)
