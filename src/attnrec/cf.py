@@ -97,17 +97,19 @@ def make_prior(variant: str, n_articles: int, d: int,
     return prior
 
 
-def objective(r: InteractionMatrix, model: FactorModel, prior: np.ndarray) -> float:
+def objective(r: InteractionMatrix, model: FactorModel, prior: np.ndarray,
+              gram: np.ndarray | None = None) -> float:
     """Weighted squared error over ALL cells plus both regularizers.
 
     Uses the decomposition  sum_cells c*(p - uv)^2 =
     b*sum_all (uv)^2 + sum_obs [a*(1 - uv)^2 - b*(uv)^2],
-    so the dense term costs O((n+m) d^2) instead of O(n m d).
+    so the dense term costs O((n+m) d^2) instead of O(n m d); a given ``gram`` is V^T V.
     """
     U, V = model.U, model.V
     coo = r.matrix.tocoo()
     pred_obs = np.einsum("ij,ij->i", U[coo.row], V[coo.col])
-    weighted = (model.b * float(np.vdot(U @ (V.T @ V), U))
+    gram = V.T @ V if gram is None else gram
+    weighted = (model.b * float(np.vdot(U @ gram, U))
                 + float((model.a * (1.0 - pred_obs) ** 2 - model.b * pred_obs ** 2).sum()))
     reg_u = model.lambda_u * float((U * U).sum())
     reg_v = model.lambda_v * float(((V - prior) ** 2).sum())
@@ -119,14 +121,14 @@ def objective(r: InteractionMatrix, model: FactorModel, prior: np.ndarray) -> fl
 _CHUNK_VALUES = 1 << 16
 
 
-def _solve_rows(select, fixed, observed, lam, prior, a, b, out) -> np.ndarray:
+def _solve_rows(select, fixed, gram, observed, lam, prior, a, b, out) -> np.ndarray:
     """Exact solves of rows ``select`` with ``fixed`` held constant; row i's
     observed ``fixed`` rows O are row i of ``observed`` (CSR for users, CSC for
     articles). ``prior`` holds one row p per selected row; the solution of
     selected row k goes to ``out[k]``, and ``out`` is returned.
 
     Row x = p + w solves (A + (a - b) O^T O) w = r, where A = b G + lam I, G is
-    the Gram matrix of ``fixed`` and r = a sum(O) - b G p - (a - b) O^T O p.
+    ``gram``, the Gram matrix fixed^T fixed, and r = a sum(O) - b G p - (a - b) O^T O p.
     With c < d observations, Woodbury gives w = A^-1 r - A^-1 O^T C^-1 O A^-1 r
     from the half's one A^-1 and a c x c C = I / (a - b) + O A^-1 O^T; a cold
     row is c = 0, so it inherits p bit-exactly when ``fixed`` is zero. Rows
@@ -134,7 +136,7 @@ def _solve_rows(select, fixed, observed, lam, prior, a, b, out) -> np.ndarray:
     chunk with every product per row, so no row depends on its chunk.
     """
     d = fixed.shape[1]
-    bg, shift = b * (fixed.T @ fixed), lam * np.eye(d)
+    bg, shift = b * gram, lam * np.eye(d)
     a_inv = cho_solve(cho_factor(bg + shift), np.eye(d))
     counts = np.diff(observed.indptr)[select]
     order = np.argsort(counts, kind="stable")
@@ -169,21 +171,21 @@ def train_als(r: InteractionMatrix, model: FactorModel, prior: np.ndarray,
     """
     if prior.shape != model.V.shape:
         raise ConfigError(f"prior shape {prior.shape} != V shape {model.V.shape}")
-    csc = r.matrix.tocsc()
     users, articles = np.arange(r.n_users), np.arange(r.n_articles)
-    zero_prior = np.zeros_like(model.U)
-    trace = [objective(r, model, prior)]
-    halves = (("user", users, model.V, r.matrix, model.lambda_u, zero_prior, model.U),
-              ("article", articles, model.U, csc, model.lambda_v, prior, model.V))
+    halves = (("user", users, model.V, r.matrix, model.lambda_u, np.zeros_like(model.U), model.U),
+              ("article", articles, model.U, r.matrix.tocsc(), model.lambda_v, prior, model.V))
+    gram = model.V.T @ model.V  # Gram matrix of the side the next half holds fixed
+    trace = [objective(r, model, prior, gram)]
     for sweep in range(max_sweeps):
         times = [time.perf_counter()]
         for side, select, fixed, observed, lam, p, out in halves:
             try:
-                _solve_rows(select, fixed, observed, lam, p, model.a, model.b, out)
+                _solve_rows(select, fixed, gram, observed, lam, p, model.a, model.b, out)
             except np.linalg.LinAlgError as exc:
                 raise NumericalError(f"ALS {side} half of sweep {sweep}: {exc}") from None
+            gram = out.T @ out  # after the article half, also the objective's
             times.append(time.perf_counter())
-        value = objective(r, model, prior)
+        value = objective(r, model, prior, gram)
         prev = trace[-1]
         trace.append(value)
         if value - prev > 1e-9 * max(1.0, abs(prev)):

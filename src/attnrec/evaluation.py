@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 
 import numpy as np
+from scipy import sparse
 
 from .corpus import InteractionMatrix
 from .errors import ConfigError, NumericalError
@@ -23,17 +24,25 @@ BLOCK_SCORES = 1 << 18  # values held per block of users: 2 MB of f64
 
 
 def make_split(r: InteractionMatrix, p: int, rng: np.random.Generator):
-    """One (train, test) pair keeping p articles per user in train."""
+    """One (train, test) pair keeping p articles per user in train, both cut
+    from r's sorted CSR rows. A user with n > p articles draws ``rng.choice(n,
+    p, replace=False)``. At p = 1 that is one bounded draw in [0, n) (Floyd's
+    algorithm, nothing to shuffle), so one ``rng.integers`` call replays them
+    all. At p > 1 choice shuffles its picks by rejection sampling, which takes
+    a varying number of words per user, so each user keeps its own call."""
     if p < 1:
         raise ConfigError(f"split size must be >= 1, got {p}")
     indptr, counts = r.matrix.indptr, np.diff(r.matrix.indptr)
     keep = np.repeat(counts <= p, counts)  # over CSR positions; small libraries stay whole
-    for i in np.flatnonzero(counts > p):
-        keep[indptr[i] + rng.choice(counts[i], size=p, replace=False)] = True
-    users, articles = np.repeat(np.arange(r.n_users), counts), r.matrix.indices
-    train = InteractionMatrix.from_pairs(users[keep], articles[keep], r.n_users, r.n_articles)
-    test = InteractionMatrix.from_pairs(users[~keep], articles[~keep], r.n_users, r.n_articles)
-    return train, test
+    big = np.flatnonzero(counts > p)
+    if p == 1:
+        keep[indptr[big] + rng.integers(0, counts[big])] = True
+    else:
+        for i in big:
+            keep[indptr[i] + rng.choice(counts[i], size=p, replace=False)] = True
+    return tuple(InteractionMatrix(sparse.csr_matrix(
+        (np.ones(mask.sum()), r.matrix.indices[mask], np.append(0, np.cumsum(mask))[indptr]),
+        shape=r.matrix.shape)) for mask in (keep, ~keep))
 
 
 def _member(indptr, indices, shape) -> np.ndarray:

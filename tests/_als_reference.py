@@ -16,15 +16,17 @@ from attnrec import cf
 def update_user(i, r, model):
     """The kernel's closed-form solve of user row i with V fixed; the model
     is not changed."""
-    return cf._solve_rows(np.array([i]), model.V, r.matrix, model.lambda_u,
-                          np.zeros((1, model.d)), model.a, model.b, np.empty((1, model.d)))[0]
+    return cf._solve_rows(np.array([i]), model.V, model.V.T @ model.V, r.matrix,
+                          model.lambda_u, np.zeros((1, model.d)), model.a, model.b,
+                          np.empty((1, model.d)))[0]
 
 
 def update_item(j, r, model, prior):
     """The kernel's closed-form solve of article row j with U fixed; the
     model is not changed."""
-    return cf._solve_rows(np.array([j]), model.U, r.matrix.tocsc(), model.lambda_v,
-                          prior[[j]], model.a, model.b, np.empty((1, model.d)))[0]
+    return cf._solve_rows(np.array([j]), model.U, model.U.T @ model.U, r.matrix.tocsc(),
+                          model.lambda_v, prior[[j]], model.a, model.b,
+                          np.empty((1, model.d)))[0]
 
 
 def solve_row(obs_factors, gram, a, b, lam, prior_row):

@@ -196,6 +196,21 @@ def test_train_als_is_bit_exact_across_chunk_sizes(monkeypatch, p):
     assert np.array_equal(model.V, small.V)
 
 
+def test_objective_trace_equals_a_fresh_objective_after_each_sweep():
+    # train_als hands the objective the Gram matrix V^T V that it also gives
+    # the next user half; each trace entry must still be the objective that
+    # the model of that sweep gives when computed from scratch.
+    r, model = _split_instance(1, seed=6)
+    prior = np.random.default_rng(7).normal(scale=0.3, size=model.V.shape)
+    full = cf.train_als(r, model, prior, max_sweeps=3, tol=0.0)
+    assert len(full) == 4
+    for sweeps in range(4):
+        _, fresh = _split_instance(1, seed=6)
+        trace = cf.train_als(r, fresh, prior, max_sweeps=sweeps, tol=0.0)
+        assert trace == full[:sweeps + 1]
+        assert trace[-1] == cf.objective(r, fresh, prior)
+
+
 def test_cold_article_inherits_prior_exactly():
     dense, r, model, prior = _random_instance(6)
     # article 0 never interacted with anyone, and the user side is all zero

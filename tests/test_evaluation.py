@@ -219,6 +219,31 @@ def test_make_split_equals_per_user_loop(p):
         assert _same_matrix(fast[0], slow[0]) and _same_matrix(fast[1], slow[1])
 
 
+def _edge_libraries(p, seed):
+    """Libraries of 0, 1, p and p + 1 saves, one of 10,001, where
+    ``Generator.choice`` weighs its tail shuffle (population over 10,000),
+    and random ones between."""
+    rng = np.random.default_rng(seed)
+    sizes = [0, 1, p, p + 1, 10_001, 0, p + 1, *rng.integers(0, 3 * p + 3, size=30)]
+    return _library_matrix([np.sort(rng.choice(10_050, size=n, replace=False)).tolist()
+                            for n in sizes], 10_050)
+
+
+@pytest.mark.parametrize("p", [1, 2, 10])
+def test_make_split_equals_reference_on_edge_libraries(tmp_path, p):
+    r = _edge_libraries(p, seed=p)
+    fast_rng, slow_rng = np.random.default_rng([p, 3]), np.random.default_rng([p, 3])
+    fast, slow = ev.make_split(r, p, fast_rng), ref.make_split(r, p, slow_rng)
+    for name, got, want in zip(("train", "test"), fast, slow):
+        assert _same_matrix(got, want)
+        got.save(tmp_path / f"{name}-fast.bin")
+        want.save(tmp_path / f"{name}-slow.bin")
+        assert ((tmp_path / f"{name}-fast.bin").read_bytes()
+                == (tmp_path / f"{name}-slow.bin").read_bytes())
+    # The split consumes exactly as much of the stream as the per-user loop.
+    assert fast_rng.integers(2**62) == slow_rng.integers(2**62)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_top_k_equals_stable_argsort_with_exclusion(data):

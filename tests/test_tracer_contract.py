@@ -85,3 +85,19 @@ def test_ingest_fires_each_traced_corpus_span_once(tmp_path):
                              "--vocab-size", "5", "--min-articles-per-tag", "1", *extra]) == 0
         assert {name: tracer.calls[name] for name in _corpus_spans(tracer)} == {
             name: int(name not in skipped) for name in _corpus_spans(tracer)}
+
+
+def test_cold_train_fires_split_and_objective_spans_per_split(tmp_path):
+    data, out = tmp_path / "data", tmp_path / "runs"
+    assert cli.main(["synth", "--data-dir", str(data), "--n-users", "40", "--n-articles", "60",
+                     "--n-clusters", "4", "--min-library", "4", "--max-library", "8"]) == 0
+    flags = ["--data-dir", str(data), "--out-dir", str(out), "--variant", "wrmf", "--d", "4",
+             "--splits", "1,2", "--max-sweeps", "3", "--tol", "0"]
+    tracer = _tracer()
+    with tracer.installed(MODS):
+        assert cli.main(["preprocess", *flags]) == 0
+        assert cli.main(["train", *flags]) == 0
+    keys = tracer.keys["evaluation.make_split"]
+    assert tracer.calls["evaluation.make_split"] == len(keys) == len(set(keys)) == 2
+    assert tracer.calls["cf.train_als"] == 2
+    assert tracer.calls["cf.objective"] == 2 * (3 + 1)
