@@ -174,10 +174,6 @@ def _sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def _digests(paths) -> dict:
-    return {os.path.basename(p): _sha256_file(p) for p in paths}
-
-
 def _write_json(path, obj, indent=2):
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=indent, sort_keys=True)
@@ -207,7 +203,12 @@ def _stage(config: ExperimentConfig, kind: str, key: dict, build=None, reads=Non
         return final
     if os.path.isdir(final):
         logger.info("stage hit: %s", os.path.basename(final))
-        _verify_stage(final, reads)
+        digests = _manifest(final, "files")
+        for name in digests if reads is None else reads:
+            path = os.path.join(final, name)
+            if not os.path.isfile(path) or _sha256_file(path) != digests.get(name):
+                raise DataError(f"{path}: contents differ from the digest in "
+                                f"{final}/manifest.json; delete {final} to build it again")
         return final
     logger.info("stage miss: %s", os.path.basename(final))
     parent = config.out_dir or "."
@@ -216,7 +217,7 @@ def _stage(config: ExperimentConfig, kind: str, key: dict, build=None, reads=Non
     try:
         os.chmod(tmp, 0o755)  # mkdtemp makes it private to the owner
         stats = build(tmp)
-        files = _digests(os.path.join(tmp, n) for n in sorted(os.listdir(tmp)))
+        files = {n: _sha256_file(os.path.join(tmp, n)) for n in sorted(os.listdir(tmp))}
         _write_json(os.path.join(tmp, "manifest.json"), {**key, "stats": stats, "files": files})
         try:
             os.rename(tmp, final)
@@ -238,17 +239,6 @@ def _manifest(stage: str, field: str) -> dict:
         raise DataError(f"{path}: unreadable stage manifest: {exc!r}") from None
 
 
-def _verify_stage(stage: str, names=None):
-    """Refuse a published stage whose files (or files ``names``) differ from
-    its manifest's digests."""
-    digests = _manifest(stage, "files")
-    for name in digests if names is None else names:
-        path = os.path.join(stage, name)
-        if not os.path.isfile(path) or _sha256_file(path) != digests.get(name):
-            raise DataError(f"{path}: contents differ from the digest in "
-                            f"{stage}/manifest.json; delete {stage} to build it again")
-
-
 def _preprocess_key(config: ExperimentConfig) -> dict:
     """The SHA-256 of each raw input file and the settings that shape the
     caches; the data directory's path is not part of it."""
@@ -261,7 +251,7 @@ def _preprocess_key(config: ExperimentConfig) -> dict:
     for path in paths:
         if not os.path.isfile(path):
             raise DataError(f"missing input file: {path}")
-    return {"inputs": _digests(paths),
+    return {"inputs": {os.path.basename(path): _sha256_file(path) for path in paths},
             **{name: getattr(config, name) for name in (
                 "vocab_size", "min_articles_per_tag", "content_format", "tags_format",
                 "citations_format", "autoencoders")}}
@@ -506,7 +496,8 @@ def cmd_evaluate(config: ExperimentConfig, args) -> int:
         interactions = InteractionMatrix.load(source)
         reports = [[] for _ in scored]
         for index in config.splits:
-            models = [_model(c, t, index, interactions, source) for c, t in scored]
+            models = [m and replace(m, V=np.asfortranarray(m.V))  # so V.T is C-contiguous
+                      for m in (_model(c, t, index, interactions, source) for c, t in scored)]
             r_train, r_test = _stored_split(config, pre, interactions, index,
                                             "train.bin", "test.bin")
             for out, (c, _), model in zip(reports, scored, models):
@@ -516,8 +507,19 @@ def cmd_evaluate(config: ExperimentConfig, args) -> int:
         reports = [out + evaluation.average_reports(out) for out in reports]
         evaluation.reports_to_csv(reports[0], os.path.join(tmp, "reports.csv"))
         evaluation.reports_to_json(reports[0], os.path.join(tmp, "reports.json"))
-        if args.compare:
-            _write_improvement(tmp, reports[0], reports[1], args.compare)
+        if args.compare:  # gains over the comparison variant's cross-split averages, in %
+            ours = {r.k: r for r in reports[0] if r.split == -1}
+            base = {r.k: r for r in reports[1] if r.split == -1}
+            gain = evaluation.improvement_pct
+            rows = [{"k": k, "baseline": args.compare,
+                     "recall_improvement_pct": gain(ours[k].recall, base[k].recall),
+                     "ndcg_improvement_pct": gain(ours[k].ndcg, base[k].ndcg)}
+                    for k in sorted(ours) if k in base]
+            _write_json(os.path.join(tmp, "improvement.json"), rows)
+            with open(os.path.join(tmp, "improvement.csv"), "w") as fh:
+                fh.write("k,baseline,recall_improvement_pct,ndcg_improvement_pct\n")
+                fh.writelines(f"{r['k']},{r['baseline']},{r['recall_improvement_pct']:.6f},"
+                              f"{r['ndcg_improvement_pct']:.6f}\n" for r in rows)
         return {"n_reports": len(reports[0])}
 
     final = _stage(config, "evaluate", key, build)
@@ -528,23 +530,6 @@ def cmd_evaluate(config: ExperimentConfig, args) -> int:
                 print(f"  {rep['variant']} {rep['setting']} K={rep['k']}: "
                       f"recall={rep['recall']:.4f} ndcg={rep['ndcg']:.4f}")
     return 0
-
-
-def _write_improvement(tmp, ours: list, base: list, base_name: str):
-    """Relative gain of the evaluated variant over the comparison variant,
-    in percent, on the cross-split averages."""
-    ours_avg = {r.k: r for r in ours if r.split == -1}
-    base_avg = {r.k: r for r in base if r.split == -1}
-    gain = evaluation.improvement_pct
-    rows = [{"k": k, "baseline": base_name,
-             "recall_improvement_pct": gain(ours_avg[k].recall, base_avg[k].recall),
-             "ndcg_improvement_pct": gain(ours_avg[k].ndcg, base_avg[k].ndcg)}
-            for k in sorted(ours_avg) if k in base_avg]
-    _write_json(os.path.join(tmp, "improvement.json"), rows)
-    with open(os.path.join(tmp, "improvement.csv"), "w") as fh:
-        fh.write("k,baseline,recall_improvement_pct,ndcg_improvement_pct\n")
-        fh.writelines(f"{r['k']},{r['baseline']},{r['recall_improvement_pct']:.6f},"
-                      f"{r['ndcg_improvement_pct']:.6f}\n" for r in rows)
 
 
 def cmd_recommend(config: ExperimentConfig, args) -> int:

@@ -10,7 +10,10 @@ are reproducible across runs and platforms.
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 
@@ -20,7 +23,7 @@ from scipy import sparse
 from .corpus import InteractionMatrix
 from .errors import ConfigError, NumericalError
 
-BLOCK_SCORES = 1 << 18  # values held per block of users: 2 MB of f64
+BLOCK_SCORES = 1 << 18  # values per block of users: 2 MB of f64, about 4 MB per worker
 
 
 def make_split(r: InteractionMatrix, p: int, rng: np.random.Generator):
@@ -43,13 +46,6 @@ def make_split(r: InteractionMatrix, p: int, rng: np.random.Generator):
     return tuple(InteractionMatrix(sparse.csr_matrix(
         (np.ones(mask.sum()), r.matrix.indices[mask], np.append(0, np.cumsum(mask))[indptr]),
         shape=r.matrix.shape)) for mask in (keep, ~keep))
-
-
-def _member(indptr, indices, shape) -> np.ndarray:
-    """Boolean block, True where CSR row i lists column j."""
-    out = np.zeros(shape, dtype=bool)
-    out[np.repeat(np.arange(shape[0]), np.diff(indptr)), indices] = True
-    return out
 
 
 def _pack(rows, ids, n_rows: int, width: int) -> np.ndarray:
@@ -135,9 +131,9 @@ def _hits(recommended, test_items, k, metric: str):
     ks = np.atleast_1d(k).astype(np.int64)
     ranked = np.asarray(recommended, dtype=np.int64)[..., :ks.max()]
     if ranked.ndim == 2:
-        held = _member(test_items.indptr, test_items.indices, test_items.shape)
+        held, n_held = np.zeros(test_items.shape, dtype=bool), np.diff(test_items.indptr)
+        held[np.repeat(np.arange(n_held.size), n_held), test_items.indices] = True
         found = held[np.arange(ranked.shape[0])[:, None], ranked] & (ranked >= 0)
-        n_held = np.diff(test_items.indptr)
     else:
         test = np.fromiter({int(x) for x in test_items}, dtype=np.int64)
         found, n_held = np.isin(ranked, test)[None, :], np.array([test.size])
@@ -190,14 +186,27 @@ class MetricReport:
     n_users: int
 
 
+def _blas_threads():
+    """Threads of the OpenBLAS mapped into this process, by its own getter; None if none."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
+        getters = [getattr(ctypes.CDLL(path), name, None) for path in paths
+                   for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads")]
+    except OSError:
+        return None
+    return next((getter() for getter in getters if getter is not None), None)
+
+
 def evaluate(score_fn, r_train: InteractionMatrix, r_test: InteractionMatrix,
              ks, *, variant: str = "", setting: str = "", split: int = 0) -> list:
     """Average recall and nDCG over users with a nonempty test set.
 
     ``score_fn(users)`` takes an index array of users and returns their
     article scores: a (len(users), n_articles) block, or one (n_articles,)
-    row when the scores do not depend on the user. Users are ranked in
-    blocks of about BLOCK_SCORES values, training articles excluded.
+    row, sorted once, when the scores do not depend on the user. Users are
+    ranked in blocks of about BLOCK_SCORES values, training articles
+    excluded, one run of blocks per thread of min(blocks, CPUs // BLAS threads).
     """
     ks = sorted(int(k) for k in ks)
     users = np.flatnonzero(np.diff(r_test.matrix.indptr))
@@ -205,17 +214,28 @@ def evaluate(score_fn, r_train: InteractionMatrix, r_test: InteractionMatrix,
         raise ConfigError("no user has held-out articles to evaluate")
     # a user takes n_articles scores and about four K-wide arrays to rank
     step = max(1, BLOCK_SCORES // (r_test.n_articles + 4 * ks[-1]))
-    values = np.empty((users.size, 2, len(ks)))
-    order = None
-    for start in range(0, users.size, step):
-        block = users[start:start + step]
-        scores = score_fn(block)
-        if np.ndim(scores) == 1 and order is None:  # a shared row is ranked once
-            order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
-        ranked = top_k(scores, ks[-1], exclude=_cut(r_train.matrix, block), order=order)
-        held = _cut(r_test.matrix, block)
-        values[start:start + block.size, 0] = recall_at_k(ranked, held, ks)
-        values[start:start + block.size, 1] = ndcg_at_k(ranked, held, ks)
+    probe = score_fn(users[:1])  # a shared row is sorted once, before the blocks start
+    order = np.argsort(-np.asarray(probe, float), kind="stable") if np.ndim(probe) == 1 else None
+
+    def rank(part):  # one loop per run of blocks, so scores outlive the next block's GEMM
+        out = []
+        for start in range(0, part.size, step):
+            block = part[start:start + step]
+            scores = score_fn(block)
+            ranked = top_k(scores, ks[-1], exclude=_cut(r_train.matrix, block), order=order)
+            held = _cut(r_test.matrix, block)
+            out.append(np.stack([recall_at_k(ranked, held, ks), ndcg_at_k(ranked, held, ks)], 1))
+        return np.concatenate(out)
+
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(-(-users.size // step), cpus // (_blas_threads() or cpus))  # unread: 1
+    if workers > 1:
+        edges = -(-np.arange(1, workers) * users.size // (workers * step)) * step  # block edges
+        with ThreadPoolExecutor(workers) as pool:
+            values = np.concatenate(list(pool.map(rank, np.split(users, edges))))
+    else:
+        values = rank(users)
     sums = np.cumsum(values, axis=0)[-1] / users.size  # summed in user order
     return [MetricReport(variant, setting, split, k, float(sums[0, j]),
                          float(sums[1, j]), int(users.size))

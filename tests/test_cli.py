@@ -2,8 +2,10 @@ import csv
 import json
 import logging
 import os
+import shutil
 import subprocess
 import sys
+import threading
 from dataclasses import fields
 from pathlib import Path
 
@@ -700,6 +702,75 @@ def test_rounds_into_fresh_out_dirs_are_byte_identical(workspace, tmp_path, caps
         trees.append(_tree(runs))
     assert trees[0] == trees[1]
     assert len([d for d in os.listdir(runs) if d.startswith("evaluate-")]) == 2
+
+
+def test_nan_scores_in_a_worker_block_exit_3(workspace, capsys, monkeypatch):
+    data, runs = workspace
+    extra = ("--variant", "wrmf")
+    for command in ("preprocess", "train"):
+        assert cli.main(_args(command, data, runs, *extra)) == 0
+    # blocks of 5 users on a pool of 4, on any host
+    monkeypatch.setattr(evaluation, "BLOCK_SCORES", 5 * (60 + 4 * 10))
+    monkeypatch.setattr(evaluation, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    real, callers = cli.cf.predict_scores, []
+
+    def poisoned(model, users):
+        scores = real(model, users)
+        if callers:  # every block, but not the one-user probe the calling thread makes
+            scores[0, 0] = float("nan")
+        callers.append(threading.get_ident())
+        return scores
+
+    monkeypatch.setattr(cli.cf, "predict_scores", poisoned)
+    assert cli.main(_args("evaluate", data, runs, *extra)) == 3
+    assert "NaN" in capsys.readouterr().err
+    assert callers[0] == threading.get_ident() and set(callers[1:]) - {callers[0]}
+    assert not list(runs.glob("evaluate-*"))
+
+
+def test_evaluate_scores_an_f_order_v_and_recommend_a_c_order_one(workspace, monkeypatch):
+    # A block's U[block] @ V.T reads a C-contiguous V.T; recommend's one-user
+    # product is a GEMV, whose bits would change with the layout.
+    data, runs = workspace
+    extra = ("--variant", "wrmf")
+    for command in ("preprocess", "train"):
+        assert cli.main(_args(command, data, runs, *extra)) == 0
+    real, layouts = cli.cf.predict_scores, []
+    monkeypatch.setattr(cli.cf, "predict_scores", lambda model, users: layouts.append(
+        (np.ndim(users), model.V.flags.f_contiguous, model.V.dtype == np.float64))
+        or real(model, users))
+    assert cli.main(_args("evaluate", data, runs, *extra)) == 0
+    assert layouts and set(layouts) == {(1, True, True)}
+    layouts.clear()
+    assert cli.main(_args("recommend", data, runs, *extra, "3")) == 0
+    assert layouts == [(0, False, True)]
+
+
+def test_evaluate_stage_is_byte_identical_across_blas_thread_counts(tmp_path):
+    # At OPENBLAS_NUM_THREADS=1 evaluate ranks the README quick start's four
+    # user blocks on one thread per CPU; at 2 it gets half as many (on two
+    # CPUs, none). Both must publish the same stage and print the same lines.
+    data, runs = tmp_path / "data", tmp_path / "runs"
+    flags = ["--data-dir", str(data), "--variant", "cata++", "--d", "25",
+             "--text-widths", "100,25", "--tag-widths", "25", "--epochs", "5",
+             "--vocab-size", "200", "--splits", "1"]
+    assert cli.main(["synth", "--data-dir", str(data)]) == 0
+    for command in ("preprocess", "train"):
+        assert cli.main([command, "--out-dir", str(runs), *flags]) == 0
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"runs-{threads}"
+        shutil.copytree(runs, out)
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-m", "attnrec.cli", "evaluate", "--out-dir",
+                               str(out), *flags, "--compare", "pop"],
+                              env=env, capture_output=True, text=True, check=True, timeout=300)
+        stage = _single_run_dir(out, "evaluate-")
+        outputs.append((stage.name, _tree(stage), done.stdout.replace(str(out), "<runs>")))
+    assert outputs[0] == outputs[1]
 
 
 def _split_stages(runs) -> dict:

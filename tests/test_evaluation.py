@@ -1,6 +1,13 @@
 import csv
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -430,11 +437,120 @@ def test_evaluate_in_blocks_equals_reference(monkeypatch, variant):
     monkeypatch.setattr(ev, "top_k", lambda s, k, **kw: sizes.append(kw["exclude"].shape[0])
                         or orders.append(kw["order"]) or real(s, k, **kw))
     assert ev.evaluate(cli._scorer(model, train), train, test, [5, 10]) == reference
-    assert len(sizes) == -(-users.size // 7) and sizes[-1] == users.size % 7
+    # blocks may be ranked in any order on a pool, so compare the multiset of sizes
+    assert Counter(sizes) == Counter([7] * (users.size // 7) + [users.size % 7])
     if variant == "wrmf":
         assert orders == [None] * len(sizes)
     else:  # the shared row is sorted once for every block
         assert orders[0] is not None and all(o is orders[0] for o in orders)
+
+
+def _pool(monkeypatch, cpus, blas_threads=1):
+    """Make evaluate see ``cpus`` CPUs and an OpenBLAS of ``blas_threads``
+    threads on any host; returns the worker counts of the pools it starts."""
+    monkeypatch.setattr(ev, "_blas_threads", lambda: blas_threads)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    pools = []
+
+    class Pool(ev.ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(ev, "ThreadPoolExecutor", Pool)
+    return pools
+
+
+def _ragged_split():
+    """A wrmf model over 30 evaluated users; blocks of 4 leave a last block of 2."""
+    r = _random_matrix(np.random.default_rng(14), 30, 80, 0.08)
+    train, test = ev.make_split(r, 1, np.random.default_rng(2))
+    assert np.count_nonzero(np.diff(test.matrix.indptr)) == 30
+    model = cf.init_model(30, 80, 4, lambda_u=0.1, lambda_v=0.1, seed=3)
+    cf.train_als(train, model, np.zeros_like(model.V), max_sweeps=2)
+    return model, train, test
+
+
+@pytest.mark.parametrize("variant", ["wrmf", "pop"])
+def test_evaluate_on_a_pool_equals_the_serial_run_and_reference(monkeypatch, variant):
+    monkeypatch.setattr(ev, "BLOCK_SCORES", 4 * (80 + 4 * 10))  # 8 blocks, the last of 2
+    model, train, test = _ragged_split()
+    if variant == "pop":
+        model = None
+    row = (lambda i: train.item_counts().astype(np.float64)) if model is None else \
+        (lambda i: cf.predict_scores(model, i))
+    reference = ref.evaluate(row, train, test, [5, 10])
+    sizes, real = [], ev.top_k
+    monkeypatch.setattr(ev, "top_k", lambda s, k, **kw: sizes.append(kw["exclude"].shape[0])
+                        or real(s, k, **kw))
+    pools = _pool(monkeypatch, cpus=8, blas_threads=None)  # BLAS unread: serial
+    serial = ev.evaluate(cli._scorer(model, train), train, test, [5, 10])
+    assert pools == [] and serial == reference and sizes == [4] * 7 + [2]
+    # more workers than this host has cores, switching threads as often as it can
+    pools = _pool(monkeypatch, cpus=8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            sizes.clear()
+            assert ev.evaluate(cli._scorer(model, train), train, test, [5, 10]) == serial
+            assert Counter(sizes) == Counter([4] * 7 + [2])  # a serial run's blocks
+    finally:
+        sys.setswitchinterval(interval)
+    assert pools == [8] * 5
+
+
+def test_worker_count_is_the_cpus_over_the_blas_threads(monkeypatch):
+    monkeypatch.setattr(ev, "BLOCK_SCORES", 4 * (80 + 4 * 10))
+    model, train, test = _ragged_split()
+    for cpus, threads, want in ((2, 1, [2]), (4, 2, [2]), (2, 2, []), (1, 1, []),
+                                (64, 1, [8]), (2, 4, [])):
+        pools = _pool(monkeypatch, cpus, threads)
+        ev.evaluate(cli._scorer(model, train), train, test, [5, 10])
+        assert pools == want, (cpus, threads)
+
+
+def test_nan_scores_in_a_worker_block_raise_numerical_error(monkeypatch):
+    monkeypatch.setattr(ev, "BLOCK_SCORES", 4 * (80 + 4 * 10))
+    model, train, test = _ragged_split()
+    pools = _pool(monkeypatch, cpus=4)
+    first = np.flatnonzero(np.diff(test.matrix.indptr))[0]
+    poisoned = []
+
+    def score_fn(users):
+        scores = cf.predict_scores(model, users)
+        if first not in users:  # every block but the first, and not the caller's probe
+            poisoned.append(threading.get_ident())
+            scores[-1, 3] = np.nan
+        return scores
+
+    with pytest.raises(NumericalError, match="NaN"):
+        ev.evaluate(score_fn, train, test, [5, 10])
+    assert pools == [4] and poisoned and threading.get_ident() not in poisoned
+
+
+def test_blas_thread_reader_falls_back_without_a_mapped_openblas(monkeypatch):
+    def no_proc(*args, **kwargs):
+        raise FileNotFoundError("/proc/self/maps")
+
+    for fake in (lambda *a, **kw: io.StringIO("7f00-7f01 r-xp 0 08:01 1 /usr/lib/libc.so.6\n"),
+                 no_proc):
+        monkeypatch.setattr(ev, "open", fake, raising=False)
+        assert ev._blas_threads() is None
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_blas_thread_reader_reads_the_loaded_openblas(threads):
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if threads > cpus:
+        pytest.skip(f"OpenBLAS caps its threads at the {cpus} CPUs of this host")
+    src = str(Path(ev.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "from attnrec import evaluation; print(evaluation._blas_threads())"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stdout.strip() == str(threads)
 
 
 @pytest.mark.parametrize("seed", range(4))
