@@ -39,9 +39,8 @@ class AttentiveAutoencoder:
         if any(b >= a for a, b in zip(hidden_widths, hidden_widths[1:])):
             raise ConfigError(f"hidden widths must be strictly decreasing: {hidden_widths}")
         if hidden_widths[0] >= input_dim:
-            raise ConfigError(
-                f"first hidden width {hidden_widths[0]} must be < input_dim {input_dim}"
-            )
+            raise ConfigError(f"first hidden width {hidden_widths[0]} "
+                              f"must be < input_dim {input_dim}")
         self.input_dim = input_dim
         self.widths = hidden_widths
         self.seed = seed
@@ -146,9 +145,8 @@ def pretrain(ae: AttentiveAutoencoder, data, epochs: int = 200, batch_size: int 
             out = ae.net.forward(x, training=True)
             loss = bce_loss(out, x)
             if not np.isfinite(loss):
-                raise NumericalError(
-                    f"non-finite reconstruction loss at epoch {epoch}, batch {batch_i}"
-                )
+                raise NumericalError(f"non-finite reconstruction loss at epoch {epoch}, "
+                                     f"batch {batch_i}")
             ae.net.backward(bce_grad(out, x), input_grad=False)
             optimizer.step(ae.grads)
             total += loss * x.shape[0]

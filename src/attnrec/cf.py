@@ -65,15 +65,9 @@ def init_model(n_users: int, n_articles: int, d: int, *, lambda_u: float,
     """Random factors, uniform in [0, 1/sqrt(d)]."""
     rng = np.random.default_rng(seed)
     scale = 1.0 / math.sqrt(d)
-    return FactorModel(
-        U=rng.uniform(0.0, scale, size=(n_users, d)),
-        V=rng.uniform(0.0, scale, size=(n_articles, d)),
-        lambda_u=lambda_u,
-        lambda_v=lambda_v,
-        a=a,
-        b=b,
-        variant=variant,
-    )
+    return FactorModel(U=rng.uniform(0.0, scale, size=(n_users, d)),
+                       V=rng.uniform(0.0, scale, size=(n_articles, d)),
+                       lambda_u=lambda_u, lambda_v=lambda_v, a=a, b=b, variant=variant)
 
 
 def make_prior(variant: str, n_articles: int, d: int,
@@ -209,16 +203,8 @@ def predict_scores(model: FactorModel, users) -> np.ndarray:
 
 
 def save_factors(path, model: FactorModel, sweeps: int = 0):
-    meta = {
-        "lambda_u": model.lambda_u,
-        "lambda_v": model.lambda_v,
-        "a": model.a,
-        "b": model.b,
-        "variant": model.variant,
-        "sweeps": sweeps,
-        "d": model.d,
-    }
-    storage.write_tensors(path, {"U": model.U, "V": model.V}, meta)
+    meta = {key: getattr(model, key) for key in ("lambda_u", "lambda_v", "a", "b", "variant", "d")}
+    storage.write_tensors(path, {"U": model.U, "V": model.V}, {**meta, "sweeps": sweeps})
 
 
 def load_factors(path):

@@ -167,11 +167,8 @@ def _digest12(payload: dict) -> str:
 
 
 def _sha256_file(path) -> str:
-    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _write_json(path, obj, indent=2):
@@ -401,14 +398,13 @@ def _fit(config: ExperimentConfig, pre: str, stages: dict, tmp: str) -> dict:
         latents[name] = ae_mod.load_latent(os.path.join(stage, "latent.bin"))
     if config.variant == "pop":  # popularity needs no factors
         return {}
-    interactions = InteractionMatrix.load(os.path.join(pre, "interactions.bin"))
-    prior = cf.make_prior(config.variant, interactions.n_articles, config.d,
+    shape = storage.interactions_shape(os.path.join(pre, "interactions.bin"))
+    prior = cf.make_prior(config.variant, shape[1], config.d,
                           latents.get("text"), latents.get("tag"))
     traces = {}
     for index in config.splits:
-        r_train, = _stored_split(config, pre, interactions, index, "train.bin")
-        model = cf.init_model(interactions.n_users, interactions.n_articles,
-                              config.d, lambda_u=config.lambda_u,
+        r_train, = _stored_split(config, pre, shape, index, "train.bin")
+        model = cf.init_model(*shape, config.d, lambda_u=config.lambda_u,
                               lambda_v=config.lambda_v, a=config.a,
                               b=config.b, variant=config.variant,
                               seed=config.seeds()["factors"])
@@ -429,40 +425,40 @@ def _split(config: ExperimentConfig, interactions, index):
     return evaluation.make_split(interactions, config.p, rng)
 
 
-def _stored_split(config: ExperimentConfig, pre: str, interactions, index, *names):
+def _stored_split(config: ExperimentConfig, pre: str, shape, index, *names):
     """The matrices ``names`` ("train.bin", "test.bin" or both) of one split
-    from its ``split`` stage, which a miss derives once through ``_split``;
-    a hit checks and reads only those files. Each is refused unless it fits
-    ``interactions``, the ``interactions.bin`` of ``pre``."""
+    from its ``split`` stage; a miss derives the split once from the
+    ``interactions.bin`` of ``pre``, and a hit checks and reads only those
+    files. Each is refused unless it fits ``shape``, that file's."""
+    source = os.path.join(pre, "interactions.bin")
     key = {"inputs": {"preprocess": os.path.basename(pre)}, "p": config.p,
            "seed": config.seeds()["split"], "index": index}
 
     def build(tmp):
-        for name, matrix in zip(("train.bin", "test.bin"), _split(config, interactions, index)):
+        split = _split(config, InteractionMatrix.load(source), index)
+        for name, matrix in zip(("train.bin", "test.bin"), split):
             matrix.save(os.path.join(tmp, name))
         return {}
 
     stage = _stage(config, "split", key, build, names)
     out = [InteractionMatrix.load(os.path.join(stage, name)) for name in names]
     for name, r in zip(names, out):
-        if r.matrix.shape != interactions.matrix.shape:
+        if r.matrix.shape != shape:
             raise DataError(f"{stage}/{name}: split of {r.n_users} x {r.n_articles} does not "
-                            f"fit the {interactions.n_users} x {interactions.n_articles} "
-                            f"of {pre}/interactions.bin")
+                            f"fit the {shape[0]} x {shape[1]} of {source}")
     return out
 
 
-def _model(config: ExperimentConfig, train_dir: str, index, interactions, source):
-    """The factors of one split, refused unless they fit ``interactions``,
-    read from the file ``source``; None for pop, which has none."""
+def _model(config: ExperimentConfig, train_dir: str, index, shape, source):
+    """The factors of one split, refused unless they fit ``shape``, that of
+    the file ``source``; None for pop, which has none."""
     if config.variant == "pop":
         return None
     path = os.path.join(train_dir, f"factors-split{index}.bin")
     model, _ = cf.load_factors(path)
-    if (len(model.U), len(model.V)) != interactions.matrix.shape:
+    if (len(model.U), len(model.V)) != shape:
         raise DataError(f"{path}: factors for {len(model.U)} users x {len(model.V)} articles "
-                        f"do not fit the {interactions.n_users} x {interactions.n_articles} "
-                        f"of {source}")
+                        f"do not fit the {shape[0]} x {shape[1]} of {source}")
     return model
 
 
@@ -493,13 +489,12 @@ def cmd_evaluate(config: ExperimentConfig, args) -> int:
 
     def build(tmp):
         source = os.path.join(pre, "interactions.bin")
-        interactions = InteractionMatrix.load(source)
+        shape = storage.interactions_shape(source)
         reports = [[] for _ in scored]
         for index in config.splits:
             models = [m and replace(m, V=np.asfortranarray(m.V))  # so V.T is C-contiguous
-                      for m in (_model(c, t, index, interactions, source) for c, t in scored)]
-            r_train, r_test = _stored_split(config, pre, interactions, index,
-                                            "train.bin", "test.bin")
+                      for m in (_model(c, t, index, shape, source) for c, t in scored)]
+            r_train, r_test = _stored_split(config, pre, shape, index, "train.bin", "test.bin")
             for out, (c, _), model in zip(reports, scored, models):
                 out.extend(evaluation.evaluate(_scorer(model, r_train), r_train, r_test,
                                                config.ks, variant=c.variant,
@@ -535,17 +530,17 @@ def cmd_evaluate(config: ExperimentConfig, args) -> int:
 def cmd_recommend(config: ExperimentConfig, args) -> int:
     pre = _stage(config, "preprocess", _preprocess_key(config))
     source = os.path.join(pre, "interactions.bin")
-    interactions = InteractionMatrix.load(source)
-    if not 0 <= args.user_id < interactions.n_users:
-        raise ConfigError(f"user id must lie in [0, {interactions.n_users})")
+    shape = storage.interactions_shape(source)
+    if not 0 <= args.user_id < shape[0]:
+        raise ConfigError(f"user id must lie in [0, {shape[0]})")
     index = args.split if args.split is not None else config.splits[0]
     if index < 0:
         raise ConfigError(f"split must be >= 0, got {index}")
     if config.variant != "pop" and index not in config.splits:
         raise ConfigError(f"split {index} was not trained; --splits trains "
                           f"{','.join(map(str, config.splits))}")
-    model = _model(config, _trained(config, pre), index, interactions, source)
-    r_train, = _stored_split(config, pre, interactions, index, "train.bin")
+    model = _model(config, _trained(config, pre), index, shape, source)
+    r_train, = _stored_split(config, pre, shape, index, "train.bin")
     scores = _scorer(model, r_train)(args.user_id)
     picks = evaluation.top_k(scores, args.k, exclude=r_train.user_items(args.user_id))
     for rank, article in enumerate(picks, start=1):

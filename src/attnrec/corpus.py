@@ -160,12 +160,9 @@ class Vocabulary:
         return len(self.tokens)
 
     def save(self, path):
-        lines = ["token\tdoc_freq\tmax_tf\tscore"]
-        for i, tok in enumerate(self.tokens):
-            lines.append(
-                f"{tok}\t{int(self.doc_freq[i])}\t{int(self.max_tf[i])}\t{float(self.scores[i])!r}"
-            )
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows = zip(self.tokens, self.doc_freq.tolist(), self.max_tf.tolist(), self.scores.tolist())
+        text = "".join(f"{tok}\t{df}\t{tf}\t{score!r}\n" for tok, df, tf, score in rows)
+        Path(path).write_text("token\tdoc_freq\tmax_tf\tscore\n" + text, encoding="utf-8")
 
 
 # --------------------------------------------------------------------------
@@ -184,9 +181,15 @@ def tokenize(text: str) -> list:
 
 
 def read_raw_docs(path) -> list:
-    """One document (title+abstract already concatenated) per line."""
-    with open(path, encoding="utf-8") as handle:
-        return [tokenize(line) for line in handle]
+    """One document (title+abstract already concatenated) per line. A byte
+    that is not UTF-8 is a ParseError naming the file and line."""
+    docs = []
+    for line in Path(path).read_bytes().splitlines():  # splits as text mode does
+        try:
+            docs.append(tokenize(line.decode("utf-8")))
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: line {len(docs) + 1}: {exc}") from None
+    return docs
 
 
 # --------------------------------------------------------------------------
@@ -208,28 +211,59 @@ def _term_counts(tokens) -> np.ndarray:
     return values
 
 
+def _digit_lines(raw: bytes, counted: bool):
+    """``_lines`` of a file of ASCII digits, spaces, tabs and LFs, by numpy
+    passes over its bytes; None, for the loop to parse or refuse, when a byte
+    is any other, a token passes 18 digits (int64 might overflow) or a counted
+    line is empty or miscounted."""
+    if raw.translate(None, b"0123456789 \t\n"):
+        return None
+    buf = np.frombuffer(raw, np.uint8)
+    digit = np.zeros(buf.size + 2, dtype=bool)
+    digit[1:-1] = buf >= ord("0")  # the blanks left all lie below "0"
+    starts, ends = np.flatnonzero(digit[1:] != digit[:-1]).reshape(-1, 2).T
+    if (ends - starts).max(initial=0) > 18:
+        return None
+    values = np.fromstring(raw, np.int64, sep=" ")
+    if values.size != starts.size:  # a file of blanks reads as one 0
+        return None
+    stops = np.flatnonzero(buf == ord("\n"))
+    if raw and not raw.endswith(b"\n"):  # a last line without its LF
+        stops = np.append(stops, buf.size)
+    sizes = np.diff(np.searchsorted(starts, stops), prepend=0)
+    if counted:
+        firsts = np.cumsum(sizes) - sizes
+        if sizes.min(initial=1) < 1 or np.any(values[firsts] != sizes - 1):
+            return None
+        values, sizes = np.delete(values, firsts), sizes - 1
+    return np.repeat(np.arange(sizes.size), sizes), values, sizes.tolist()
+
+
 def _lines(path, counted: bool, parse=_ints) -> tuple:
     """The ids of a file whose line i+1 lists the ids of row i: the row of
     each token, ``parse`` of all tokens, and the token count of each line.
 
     A ``counted`` line opens with the number of tokens that follow, so it
-    may not be empty. Every error is a ParseError naming the file and line.
+    may not be empty. Every error, a byte that is not UTF-8 too, is a
+    ParseError naming the file and line. ``_digit_lines`` reads most files.
     """
+    raw = Path(path).read_bytes()
+    if parse is _ints and (found := _digit_lines(raw, counted)):
+        return found
     sizes, tokens = [], []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            parts = line.split()
-            try:
-                if counted:
-                    if not parts:
-                        raise ValueError("empty line")
-                    declared, parts = int(parts[0]), parts[1:]
-                    if declared != len(parts):
-                        raise ValueError(f"declared {declared} ids but found {len(parts)}")
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {len(sizes) + 1}: {exc}") from None
-            tokens += parts
-            sizes.append(len(parts))
+    for line in raw.splitlines():  # splits as text mode does
+        try:
+            parts = line.decode("utf-8").split()
+            if counted:
+                if not parts:
+                    raise ValueError("empty line")
+                declared, parts = int(parts[0]), parts[1:]
+                if declared != len(parts):
+                    raise ValueError(f"declared {declared} ids but found {len(parts)}")
+        except ValueError as exc:  # UnicodeDecodeError is one
+            raise ParseError(f"{path}: line {len(sizes) + 1}: {exc}") from None
+        tokens += parts
+        sizes.append(len(parts))
     try:
         values = parse(tokens)
     except (ValueError, OverflowError):  # parse again line by line to name the line
@@ -341,9 +375,7 @@ def select_vocabulary(raw_docs: list, stop_words, top_n: int) -> Vocabulary:
                 max_tf[tok] = count
     if not doc_freq:
         raise DataError("no candidate tokens after stop-word removal")
-    scored = [
-        (max_tf[tok] * math.log(n_docs / doc_freq[tok]), tok) for tok in doc_freq
-    ]
+    scored = [(max_tf[tok] * math.log(n_docs / doc_freq[tok]), tok) for tok in doc_freq]
     scored.sort(key=lambda pair: (-pair[0], pair[1]))
     if len(scored) < top_n:
         warnings.warn(

@@ -247,15 +247,9 @@ def average_reports(reports: list) -> list:
     groups = {}
     for rep in reports:
         groups.setdefault((rep.variant, rep.setting, rep.k), []).append(rep)
-    out = []
-    for (variant, setting, k), reps in sorted(groups.items()):
-        out.append(MetricReport(
-            variant, setting, -1, k,
-            float(np.mean([r.recall for r in reps])),
-            float(np.mean([r.ndcg for r in reps])),
-            min(r.n_users for r in reps),
-        ))
-    return out
+    return [MetricReport(variant, setting, -1, k, float(np.mean([r.recall for r in reps])),
+                         float(np.mean([r.ndcg for r in reps])), min(r.n_users for r in reps))
+            for (variant, setting, k), reps in sorted(groups.items())]
 
 
 def improvement_pct(ours: float, baseline: float) -> float:

@@ -113,9 +113,7 @@ class Dense(Layer):
 
     def forward(self, x, training=True):
         if x.shape[-1] != self.w.shape[0]:
-            raise ValueError(
-                f"dense layer expects width {self.w.shape[0]}, got {x.shape[-1]}"
-            )
+            raise ValueError(f"dense layer expects width {self.w.shape[0]}, got {x.shape[-1]}")
         self._x = x
         return x @ self.w + self.b
 
@@ -174,14 +172,12 @@ class BatchNorm(Layer):
         np.add.reduce(dout * xhat, 0, out=self.dgamma)
         np.add.reduce(dout, 0, out=self.dbeta)
         dxhat = dout * self.gamma
-        return (inv_std / n) * (
-            n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
-        )
+        return (inv_std / n) * (n * dxhat - dxhat.sum(axis=0)
+                                - xhat * (dxhat * xhat).sum(axis=0))
 
 
 class ReLU(Layer):
-    def __init__(self):
-        self._mask = None
+    _mask = None
 
     def forward(self, x, training=True):
         self._mask = x > 0
@@ -193,8 +189,7 @@ class ReLU(Layer):
 
 
 class Sigmoid(Layer):
-    def __init__(self):
-        self._out = None
+    _out = None
 
     def forward(self, x, training=True):
         self._out = sigmoid(x)
@@ -208,8 +203,7 @@ class Sigmoid(Layer):
 class Attention(Layer):
     """Softmax self-gating: y = softmax(x) * x per row."""
 
-    def __init__(self):
-        self._cache = None
+    _cache = None
 
     def forward(self, x, training=True):
         s = softmax(x)

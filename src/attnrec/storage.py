@@ -50,11 +50,12 @@ _F64 = np.dtype("<f8")
 
 
 class _Reader:
-    """Cursor over a file mapped copy-on-write, with typed reads that are
-    views of the mapping: pages are read in as a read touches them, and a
-    write to a view changes neither the file nor other readers."""
+    """Cursor over a file mapped copy-on-write, past its checked magic and
+    version, with typed reads that are views of the mapping: pages are read
+    in as a read touches them, and a write to a view changes neither the
+    file nor other readers."""
 
-    def __init__(self, path):
+    def __init__(self, path, magic: bytes):
         try:
             with open(path, "rb") as fh:
                 self.data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
@@ -64,6 +65,12 @@ class _Reader:
             raise DataError(f"{path}: truncated cache file") from None
         self.pos = 0
         self.path = path
+        got = self.take(_U8, 4).tobytes()
+        if got != magic:
+            raise DataError(f"{path}: bad magic {got!r}, expected {magic!r}")
+        version = self.scalar(_U8)
+        if version != _VERSIONS[magic]:
+            raise DataError(f"{path}: unsupported version {version}")
 
     def take(self, dtype, count: int) -> np.ndarray:
         nbytes = dtype.itemsize * count
@@ -82,17 +89,6 @@ class _Reader:
             raise DataError(f"{self.path}: {len(self.data) - self.pos} trailing bytes")
 
 
-def _check_header(reader: _Reader, magic: bytes):
-    got = reader.take(_U8, 4).tobytes()
-    if got != magic:
-        raise DataError(
-            f"{reader.path}: bad magic {got!r}, expected {magic!r}"
-        )
-    version = reader.scalar(_U8)
-    if version != _VERSIONS[magic]:
-        raise DataError(f"{reader.path}: unsupported version {version}")
-
-
 def _write_csr(path, magic: bytes, matrix: sparse.csr_matrix, with_values: bool):
     matrix = matrix.tocsr()
     matrix.sort_indices()
@@ -108,19 +104,24 @@ def _write_csr(path, magic: bytes, matrix: sparse.csr_matrix, with_values: bool)
     Path(path).write_bytes(b"".join(parts))
 
 
-def _read_csr(path, magic: bytes, with_values: bool) -> sparse.csr_matrix:
-    reader = _Reader(path)
-    _check_header(reader, magic)
-    n_rows = reader.scalar(_U32)
-    n_cols = reader.scalar(_U32)
+def _csr_header(path, magic: bytes, with_values: bool) -> tuple:
+    """A reader past the header of a CSR cache, and the header's n_rows,
+    n_cols and nnz; refused unless the file's length is the one they give."""
+    reader = _Reader(path, magic)
+    n_rows, n_cols = reader.take(_U32, 2).tolist()
     nnz = reader.scalar(_U64)
+    extra = len(reader.data) - reader.pos - 8 * (n_rows + 1) - (12 if with_values else 4) * nnz
+    if extra:
+        raise DataError(f"{path}: " + ("truncated cache file" if extra < 0
+                                       else f"{extra} trailing bytes"))
+    return reader, n_rows, n_cols, nnz
+
+
+def _read_csr(path, magic: bytes, with_values: bool) -> sparse.csr_matrix:
+    reader, n_rows, n_cols, nnz = _csr_header(path, magic, with_values)
     indptr = reader.take(_U64, n_rows + 1).astype(np.int64)
     indices = reader.take(_U32, nnz)
-    if with_values:
-        data = reader.take(_F64, nnz).astype(np.float64)
-    else:
-        data = np.ones(nnz, dtype=np.float64)
-    reader.finish()
+    data = reader.take(_F64, nnz).astype(np.float64) if with_values else np.ones(nnz)
     if indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0):
         raise DataError(f"{path}: row pointers must rise from 0 to nnz={nnz}")
     if nnz and int(indices.max()) >= n_cols:
@@ -143,6 +144,11 @@ def write_interactions(path, matrix: sparse.csr_matrix):
 
 def read_interactions(path) -> sparse.csr_matrix:
     return _read_csr(path, MAGIC_INTERACTIONS, with_values=False)
+
+
+def interactions_shape(path) -> tuple:
+    """(n_users, n_articles) of an interaction cache, from its header alone."""
+    return tuple(_csr_header(path, MAGIC_INTERACTIONS, with_values=False)[1:3])
 
 
 def write_content(path, matrix: sparse.csr_matrix):
@@ -188,8 +194,7 @@ def write_tensors(path, tensors: dict, meta: dict | None = None):
 def read_tensors(path):
     """Return (tensors, meta). Each tensor is its f32 payload as it lies in
     the file: a private, writable view of the mapped file."""
-    reader = _Reader(path)
-    _check_header(reader, MAGIC_TENSORS)
+    reader = _Reader(path, MAGIC_TENSORS)
     try:  # a ValueError here is bad JSON or UTF-8, or a shape no payload can fill
         meta_len = reader.scalar(_U32)
         meta = json.loads(reader.take(_U8, meta_len).tobytes().decode("utf-8")) if meta_len else {}

@@ -159,18 +159,13 @@ def generate(config: SynthConfig) -> SynthData:
 
 def write_dataset(data: SynthData, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "users.dat"), "w") as fh:
-        for lib in data.libraries:
-            fh.write(" ".join([str(len(lib))] + [str(j) for j in lib]) + "\n")
-    with open(os.path.join(out_dir, "docs.txt"), "w") as fh:
-        for doc in data.docs:
-            fh.write(doc + "\n")
-    with open(os.path.join(out_dir, "tags.dat"), "w") as fh:
-        for row in data.tags:
-            fh.write(" ".join(str(t) for t in row) + "\n")
-    with open(os.path.join(out_dir, "citations.dat"), "w") as fh:
-        for citing, cited in data.citations:
-            fh.write(f"{citing} {cited}\n")
+    files = {"users.dat": (" ".join(map(str, [len(lib), *lib])) for lib in data.libraries),
+             "docs.txt": data.docs,
+             "tags.dat": (" ".join(map(str, row)) for row in data.tags),
+             "citations.dat": (f"{citing} {cited}" for citing, cited in data.citations)}
+    for name, lines in files.items():
+        with open(os.path.join(out_dir, name), "w") as fh:
+            fh.writelines(line + "\n" for line in lines)
     truth = {
         "article_cluster": [int(x) for x in data.article_cluster],
         "user_clusters": data.user_clusters,

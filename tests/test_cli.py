@@ -989,3 +989,33 @@ def test_recommend_pop_accepts_any_split(workspace, capsys):
     assert cli.main(_args("recommend", data, runs, *extra, "--split", "7", "--k", "3",
                           "3")) == 0
     assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+@pytest.mark.parametrize("name, variant", [("users.dat", "wrmf"), ("docs.txt", "cata++")])
+def test_a_byte_that_is_not_utf8_exits_2_naming_its_line(workspace, capsys, name, variant):
+    data, runs = workspace
+    path = data / name
+    n_lines = len(path.read_bytes().splitlines())
+    with open(path, "ab") as fh:
+        fh.write(b"1 \xff3\n")
+    err = _refused(capsys, _args("preprocess", data, runs, "--variant", variant), path)
+    assert f"{path}: line {n_lines + 1}: 'utf-8' codec can't decode byte 0xff" in err
+    assert not list(runs.glob("preprocess-*"))
+
+
+def test_only_a_split_miss_reads_all_of_interactions_bin(workspace, monkeypatch):
+    # Train, evaluate and recommend take the shape from the header; a split
+    # stage that is not there yet is derived from the whole file.
+    data, runs = workspace
+    extra = ("--variant", "wrmf")
+    assert cli.main(_args("preprocess", data, runs, *extra)) == 0
+    assert cli.main(_args("train", data, runs, *extra)) == 0
+    read, real = [], storage.read_interactions
+    monkeypatch.setattr(storage, "read_interactions",
+                        lambda path: read.append(os.path.basename(path)) or real(path))
+    for command, more in (("recommend", ("3",)), ("recommend", ("--variant", "pop", "3")),
+                          ("train", ("--lambda-v", "5")), ("evaluate", ())):
+        assert cli.main(_args(command, data, runs, *extra, *more)) == 0
+    assert "interactions.bin" not in read
+    assert cli.main(_args("recommend", data, runs, "--variant", "pop", "--split", "7", "3")) == 0
+    assert read[-2:] == ["interactions.bin", "train.bin"]

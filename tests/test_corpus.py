@@ -294,3 +294,78 @@ def test_mult_content_equals_the_counter_based_normalisation(tmp_path_factory, r
         " ".join([str(len(row))] + [f"{t}:{c}" for t, c in row]) + "\n" for row in rows))
     got = corpus.load_mult_content(path, vocab_size=6)
     _same_csr(got.matrix, ref.row_max_normalised(rows, 6))
+
+
+def _loop_lines(path, counted):
+    """``_lines`` through its line loop: a parse other than ``_ints`` skips
+    the numpy pass over the bytes."""
+    return corpus._lines(path, counted, lambda tokens: corpus._ints(tokens))
+
+
+# An id as a file may spell it: leading zeros allowed, 18 characters at most.
+_ID = (st.integers(0, 60) | st.integers(0, 10 ** 18 - 1) | st.just(10 ** 18 - 1)).flatmap(
+    lambda v: st.integers(0, 18 - len(str(v))).map(lambda zeros: "0" * zeros + str(v)))
+_GAP = st.sampled_from([" ", "  ", "\t", " \t", "\t\t ", "   "])
+_BLANK = st.sampled_from(["", " ", "\t", " \t "])
+
+
+@st.composite
+def _id_file(draw, counted: bool) -> str:
+    """A file of id lines: ids parted by runs of spaces and tabs, blank space
+    at either end of a line, lines of blanks alone in a plain file, and a last
+    LF or none. A counted line opens with its id count, maybe zero-padded."""
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        ids = draw(st.lists(_ID, max_size=6))
+        if counted:
+            ids = [draw(st.sampled_from(["", "0", "00"])) + str(len(ids))] + ids
+        line = draw(_BLANK)
+        for i, tok in enumerate(ids):
+            line += (draw(_GAP) if i else "") + tok
+        lines.append(line + draw(_BLANK))
+    return "\n".join(lines) + (draw(st.sampled_from(["\n", ""])) if lines else "")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_numpy_pass_equals_the_line_loop(tmp_path_factory, data):
+    counted = data.draw(st.booleans())
+    text = data.draw(_id_file(counted))
+    path = tmp_path_factory.mktemp("lines") / "input.dat"
+    path.write_text(text)
+    fast = corpus._digit_lines(path.read_bytes(), counted)
+    want = _loop_lines(path, counted)
+    assert fast is not None or not text.split()  # a file of blanks alone is left to the loop
+    for got in [corpus._lines(path, counted)] + ([fast] if fast is not None else []):
+        rows, values, sizes = got
+        assert rows.dtype == values.dtype == np.int64 and isinstance(sizes, list)
+        assert sizes == want[2]
+        np.testing.assert_array_equal(rows, want[0])
+        np.testing.assert_array_equal(values, want[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_id_file(counted=False), st.data(),
+       st.sampled_from(["+7", "-7", "1_0", "٣", "1" * 19, "0" * 19, "7\r", "\xe9"]))
+def test_files_with_other_bytes_or_longer_ids_take_the_loop(text, data, bad):
+    # CR, a sign, an underscore, a non-ASCII digit or byte, or a 19-digit
+    # token: the numpy pass declines, whether or not the loop accepts it,
+    # and takes the same file with an 18-digit id there.
+    lines = text.split("\n")
+    at = data.draw(st.integers(0, len(lines) - 1))
+    for token, taken in ((bad, False), ("9" * 18, True)):
+        edited = lines[:at] + [lines[at] + " " + token] + lines[at + 1:]
+        assert (corpus._digit_lines("\n".join(edited).encode(), False) is not None) == taken
+
+
+@pytest.mark.parametrize("raw, line", [(b"1 1\n1 \xff3\n", 2), (b"1 1\r1 1\r\n1 \xe9\n", 3)])
+@pytest.mark.parametrize("load", [corpus.load_interactions, corpus.load_tag_assignments,
+                                  corpus.load_citations, corpus.load_mult_content,
+                                  corpus.read_raw_docs])
+def test_a_byte_that_is_not_utf8_names_the_file_and_line(tmp_path, load, raw, line):
+    # Lines are counted as text mode counts them, CR and CRLF included.
+    path = tmp_path / "input.dat"
+    path.write_bytes(raw)
+    with pytest.raises(ParseError, match=f"input\\.dat: line {line}: 'utf-8' codec can't "
+                                         "decode byte"):
+        load(path)

@@ -322,3 +322,19 @@ def test_tensor_shape_no_payload_can_fill_is_refused(tmp_path, shape):
     path.write_bytes(raw)
     with pytest.raises(DataError, match=r"ckpt\.bin: damaged tensor container"):
         storage.read_tensors(path)
+
+
+def test_interactions_shape_reads_the_header_and_checks_the_length(tmp_path):
+    path = tmp_path / "r.bin"
+    storage.write_interactions(path, sparse.csr_matrix(np.eye(3, 5)[::-1]))
+    assert storage.interactions_shape(path) == (3, 5)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-4] + struct.pack("<I", 7))  # a column id past n_cols,
+    with pytest.raises(DataError):                       # in the body it never reads
+        storage.read_interactions(path)
+    assert storage.interactions_shape(path) == (3, 5)
+    for data, message in ((raw[:-1], "truncated cache file"), (raw + b"\0", "1 trailing bytes"),
+                          (b"RXTM" + raw[4:], "bad magic"), (raw[:12], "truncated cache file")):
+        path.write_bytes(data)
+        with pytest.raises(DataError, match=f"r\\.bin: {message}"):
+            storage.interactions_shape(path)
