@@ -43,8 +43,7 @@ logger = logging.getLogger(__name__)
 
 DATA_DIR_ENV = "ATTNREC_DATA_DIR"
 ALL_VARIANTS = ("pop",) + cf.VARIANTS
-_CHOICES = {"variant": ALL_VARIANTS, "content_format": ("raw", "mult"),
-            "tags_format": ("plain", "counted"), "citations_format": ("pairs", "adjacency")}
+_CHOICES = {"variant": ALL_VARIANTS, "content_format": ("raw", "mult")}
 
 
 @dataclass
@@ -70,8 +69,6 @@ class ExperimentConfig:
     tol: float = 1e-4
     max_sweeps: int = 50
     content_format: str = "raw"
-    tags_format: str = "plain"
-    citations_format: str = "pairs"
 
     def validate(self):
         for name, choices in _CHOICES.items():
@@ -97,8 +94,8 @@ class ExperimentConfig:
                                   f"integers >= {least}, got {list(values)}")
         for name in self.autoencoders:
             widths = list(getattr(self, f"{name}_widths"))
-            if widths[-1] != self.d:
-                raise ConfigError(f"{name} widths must end at d={self.d}, got {widths}")
+            if widths[-1:] != [self.d]:  # an empty list too
+                raise ConfigError(f"{name}_widths must end at d={self.d}, got {widths}")
 
     @property
     def autoencoders(self) -> tuple:
@@ -116,11 +113,11 @@ def load_config(path, overrides: dict) -> ExperimentConfig:
     values = {}
     if path is not None:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 loaded = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are both one
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -250,8 +247,7 @@ def _preprocess_key(config: ExperimentConfig) -> dict:
             raise DataError(f"missing input file: {path}")
     return {"inputs": {os.path.basename(path): _sha256_file(path) for path in paths},
             **{name: getattr(config, name) for name in (
-                "vocab_size", "min_articles_per_tag", "content_format", "tags_format",
-                "citations_format", "autoencoders")}}
+                "vocab_size", "min_articles_per_tag", "content_format", "autoencoders")}}
 
 
 _AE_CACHES = {"text": (ContentMatrix, "content.bin"), "tag": (TagMatrix, "tags.bin")}
@@ -349,11 +345,8 @@ def _preprocess(config: ExperimentConfig, tmp: str) -> dict:
                  n_pairs=interactions.n_pairs)
 
     if "tag" in config.autoencoders:
-        assignments = load_tag_assignments(os.path.join(raw, "tags.dat"),
-                                           counted=config.tags_format == "counted",
-                                           n_articles=n_articles)
-        citations = load_citations(os.path.join(raw, "citations.dat"),
-                                   fmt=config.citations_format, n_articles=n_articles)
+        assignments = load_tag_assignments(os.path.join(raw, "tags.dat"), n_articles=n_articles)
+        citations = load_citations(os.path.join(raw, "citations.dat"), n_articles=n_articles)
         tag_matrix = build_tag_matrix(assignments, citations,
                                       config.min_articles_per_tag,
                                       n_articles=n_articles)

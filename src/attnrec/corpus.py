@@ -211,11 +211,11 @@ def _term_counts(tokens) -> np.ndarray:
     return values
 
 
-def _digit_lines(raw: bytes, counted: bool):
+def _digit_lines(raw: bytes):
     """``_lines`` of a file of ASCII digits, spaces, tabs and LFs, by numpy
     passes over its bytes; None, for the loop to parse or refuse, when a byte
-    is any other, a token passes 18 digits (int64 might overflow) or a counted
-    line is empty or miscounted."""
+    is any other, a token passes 18 digits (int64 might overflow) or a line
+    is empty or miscounted."""
     if raw.translate(None, b"0123456789 \t\n"):
         return None
     buf = np.frombuffer(raw, np.uint8)
@@ -231,35 +231,33 @@ def _digit_lines(raw: bytes, counted: bool):
     if raw and not raw.endswith(b"\n"):  # a last line without its LF
         stops = np.append(stops, buf.size)
     sizes = np.diff(np.searchsorted(starts, stops), prepend=0)
-    if counted:
-        firsts = np.cumsum(sizes) - sizes
-        if sizes.min(initial=1) < 1 or np.any(values[firsts] != sizes - 1):
-            return None
-        values, sizes = np.delete(values, firsts), sizes - 1
+    firsts = np.cumsum(sizes) - sizes
+    if sizes.min(initial=1) < 1 or np.any(values[firsts] != sizes - 1):
+        return None
+    values, sizes = np.delete(values, firsts), sizes - 1
     return np.repeat(np.arange(sizes.size), sizes), values, sizes.tolist()
 
 
-def _lines(path, counted: bool, parse=_ints) -> tuple:
+def _lines(path, parse=_ints) -> tuple:
     """The ids of a file whose line i+1 lists the ids of row i: the row of
     each token, ``parse`` of all tokens, and the token count of each line.
 
-    A ``counted`` line opens with the number of tokens that follow, so it
-    may not be empty. Every error, a byte that is not UTF-8 too, is a
-    ParseError naming the file and line. ``_digit_lines`` reads most files.
+    A line opens with the number of tokens that follow, so it may not be
+    empty. Every error, a byte that is not UTF-8 too, is a ParseError naming
+    the file and line. ``_digit_lines`` reads most files.
     """
     raw = Path(path).read_bytes()
-    if parse is _ints and (found := _digit_lines(raw, counted)):
+    if parse is _ints and (found := _digit_lines(raw)):
         return found
     sizes, tokens = [], []
     for line in raw.splitlines():  # splits as text mode does
         try:
             parts = line.decode("utf-8").split()
-            if counted:
-                if not parts:
-                    raise ValueError("empty line")
-                declared, parts = int(parts[0]), parts[1:]
-                if declared != len(parts):
-                    raise ValueError(f"declared {declared} ids but found {len(parts)}")
+            if not parts:
+                raise ValueError("empty line")
+            declared, parts = int(parts[0]), parts[1:]
+            if declared != len(parts):
+                raise ValueError(f"declared {declared} ids but found {len(parts)}")
         except ValueError as exc:  # UnicodeDecodeError is one
             raise ParseError(f"{path}: line {len(sizes) + 1}: {exc}") from None
         tokens += parts
@@ -294,7 +292,7 @@ def load_interactions(path, n_articles: int | None = None) -> InteractionMatrix:
 
     When ``n_articles`` is omitted it is inferred as max article id + 1.
     """
-    users, articles, sizes = _lines(path, True)
+    users, articles, sizes = _lines(path)
     if not sizes:
         raise DataError(f"{path}: no users")
     n_articles = _bound(path, users, articles, n_articles, "article")
@@ -306,7 +304,7 @@ def load_mult_content(path, vocab_size: int | None = None) -> ContentMatrix:
 
     Counts are max-normalized per row into (0, 1].
     """
-    articles, values, sizes = _lines(path, True, _term_counts)
+    articles, values, sizes = _lines(path, _term_counts)
     if not sizes:
         raise DataError(f"{path}: no articles")
     terms, counts = values.reshape(-1, 2).T
@@ -315,40 +313,26 @@ def load_mult_content(path, vocab_size: int | None = None) -> ContentMatrix:
         _csr(articles, terms, (len(sizes), vocab_size), counts.astype(np.float64))))
 
 
-def load_tag_assignments(path, counted: bool = False,
-                         n_articles: int | None = None) -> list:
-    """Read a tags file (line i = article i's tag ids) into (article, tag) pairs.
-
-    ``counted=True`` reads the 'count tag tag ...' variant used by the
-    CiteULike item-tag files. Given ``n_articles``, a tagged line past the
-    last article is a BoundsError.
+def load_tag_assignments(path, n_articles: int | None = None) -> np.ndarray:
+    """Read an item-tag file, line i holding 'count tag_id ...' for article i,
+    into an (n, 2) array of (article, tag) rows. Given ``n_articles``, a
+    tagged line past the last article is a BoundsError.
     """
-    articles, tags, _ = _lines(path, counted)
+    articles, tags, _ = _lines(path)
     _bound(path, articles, articles, n_articles, "article")
     _bound(path, articles, tags, None, "tag")
-    return list(zip(articles.tolist(), tags.tolist()))
+    return np.stack((articles, tags), axis=1)
 
 
-def load_citations(path, fmt: str = "pairs", n_articles: int | None = None) -> list:
-    """Read citation edges as (citing, cited) pairs.
-
-    ``fmt='pairs'`` expects one 'citing cited' pair per line; ``fmt='adjacency'``
-    expects line i to hold 'count cited_id ...' for citing article i. Given
+def load_citations(path, n_articles: int | None = None) -> np.ndarray:
+    """Read a citations file, line i holding 'count cited_id ...' for citing
+    article i, into an (n, 2) array of (citing, cited) rows. Given
     ``n_articles``, an edge naming an article past the last is a BoundsError.
     """
-    if fmt not in ("pairs", "adjacency"):
-        raise ValueError(f"unknown citations format {fmt!r}")
-    adjacency = fmt == "adjacency"
-    lines, ids, sizes = _lines(path, adjacency)
-    if not adjacency and not set(sizes) <= {0, 2}:
-        lineno, size = next((i, n) for i, n in enumerate(sizes, start=1) if n not in (0, 2))
-        raise ParseError(f"{path}: line {lineno}: expected 'citing cited', got {size} tokens")
+    lines, ids, _ = _lines(path)
     _bound(path, lines, ids, n_articles, "article")
-    if adjacency:
-        _bound(path, lines, lines, n_articles, "article")
-        return list(zip(lines.tolist(), ids.tolist()))
-    pairs = iter(ids.tolist())
-    return list(zip(pairs, pairs))
+    _bound(path, lines, lines, n_articles, "article")
+    return np.stack((lines, ids), axis=1)
 
 
 # --------------------------------------------------------------------------

@@ -8,11 +8,11 @@ two) and sample their library from it with a popularity skew, so both a
 popularity baseline and a content-aware model have signal to find, but the
 content signal is much stronger.
 
-Output files use the plain text conventions the preprocessor expects:
+Output files use the CiteULike text conventions the preprocessor expects:
     users.dat      per user: count followed by article ids
     docs.txt       one document per line
-    tags.dat       per article: tag ids (line may be empty)
-    citations.dat  one "citing cited" pair per line
+    tags.dat       per article: count followed by tag ids
+    citations.dat  per article: count followed by the ids it cites
     truth.json     planted assignments, for diagnostics only
 """
 
@@ -157,12 +157,18 @@ def generate(config: SynthConfig) -> SynthData:
                      user_clusters, config)
 
 
+def _counted(rows):
+    """One 'count id id ...' line per row."""
+    return (" ".join(map(str, [len(row), *row])) for row in rows)
+
+
 def write_dataset(data: SynthData, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    files = {"users.dat": (" ".join(map(str, [len(lib), *lib])) for lib in data.libraries),
-             "docs.txt": data.docs,
-             "tags.dat": (" ".join(map(str, row)) for row in data.tags),
-             "citations.dat": (f"{citing} {cited}" for citing, cited in data.citations)}
+    cited = [[] for _ in data.tags]
+    for citing, target in data.citations:
+        cited[citing].append(target)
+    files = {"users.dat": _counted(data.libraries), "docs.txt": data.docs,
+             "tags.dat": _counted(data.tags), "citations.dat": _counted(cited)}
     for name, lines in files.items():
         with open(os.path.join(out_dir, name), "w") as fh:
             fh.writelines(line + "\n" for line in lines)

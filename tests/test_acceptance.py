@@ -441,8 +441,8 @@ def test_criterion_9_citeulike_ingestion():
     content = corpus.load_mult_content(paths["mult"])
     r = corpus.load_interactions(paths["users"], n_articles=content.n_articles)
     tags = corpus.build_tag_matrix(
-        corpus.load_tag_assignments(paths["tags"], counted=True),
-        corpus.load_citations(paths["citations"], fmt="adjacency"),
+        corpus.load_tag_assignments(paths["tags"]),
+        corpus.load_citations(paths["citations"]),
         5, n_articles=content.n_articles)
     elapsed = time.perf_counter() - start
     ok = (r.n_users == 5551 and r.n_articles == 16980
@@ -465,8 +465,8 @@ def test_criterion_10_citeulike_variant_ordering():
     content = corpus.load_mult_content(paths["mult"])
     r = corpus.load_interactions(paths["users"], n_articles=content.n_articles)
     tags = corpus.build_tag_matrix(
-        corpus.load_tag_assignments(paths["tags"], counted=True),
-        corpus.load_citations(paths["citations"], fmt="adjacency"),
+        corpus.load_tag_assignments(paths["tags"]),
+        corpus.load_citations(paths["citations"]),
         5, n_articles=content.n_articles)
 
     epochs = int(os.environ.get("ATTNREC_LONG_EPOCHS", "20"))

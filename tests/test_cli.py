@@ -219,11 +219,45 @@ def test_config_validation_errors():
     ("--ks", "5,5", "ks"),
     ("--splits", "-1", "splits"),
     ("--splits", "", "splits"),
+    ("--text-widths", "", "text_widths"),
+    ("--tag-widths", ",", "tag_widths"),
 ])
 def test_out_of_range_config_values_exit_1(tmp_path, capsys, flag, value, field):
     rc = cli.main(["train", "--out-dir", str(tmp_path), f"{flag}={value}"])
     assert rc == 1
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["text_widths", "tag_widths"])
+def test_an_empty_width_list_in_a_config_file_exits_1_naming_it(tmp_path, capsys, field):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({field: []}))
+    assert cli.main(["train", "--out-dir", str(tmp_path), "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{field} must end at d=50, got []" in err and "Traceback" not in err
+
+
+def test_a_config_file_that_is_not_utf8_exits_1(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"d": 5\xff}')
+    assert cli.main(["train", "--out-dir", str(tmp_path), "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "config file is not valid JSON" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--tags-format", "plain"], "unrecognized arguments: --tags-format"),
+    ({"citations_format": "adjacency"}, "unknown config keys: citations_format"),
+])
+def test_the_removed_format_options_exit_1(tmp_path, capsys, argv, message):
+    # tags.dat and citations.dat have one counted line format, with no option.
+    if isinstance(argv, dict):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(argv))
+        argv = ["--config", str(path)]
+    assert cli.main(["preprocess", "--out-dir", str(tmp_path), *argv]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_zero_tol_is_valid():
@@ -919,7 +953,7 @@ def test_one_parser_serves_every_call_without_carrying_values(workspace, tmp_pat
 
 @pytest.mark.parametrize("name, line, message", [
     ("tags.dat", "1 2\n", "article 60 out of range for 60 articles"),
-    ("citations.dat", "59 75\n", "article 75 out of range for 60 articles"),
+    ("citations.dat", "1 75\n", "article 75 out of range for 60 articles"),
 ])
 def test_out_of_range_tag_or_citation_line_names_its_file(workspace, capsys, name, line,
                                                           message):
@@ -991,7 +1025,9 @@ def test_recommend_pop_accepts_any_split(workspace, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 3
 
 
-@pytest.mark.parametrize("name, variant", [("users.dat", "wrmf"), ("docs.txt", "cata++")])
+@pytest.mark.parametrize("name, variant", [("users.dat", "wrmf"), ("docs.txt", "cata++"),
+                                           ("tags.dat", "cata-tags"),
+                                           ("citations.dat", "cata-tags")])
 def test_a_byte_that_is_not_utf8_exits_2_naming_its_line(workspace, capsys, name, variant):
     data, runs = workspace
     path = data / name
@@ -1000,6 +1036,23 @@ def test_a_byte_that_is_not_utf8_exits_2_naming_its_line(workspace, capsys, name
         fh.write(b"1 \xff3\n")
     err = _refused(capsys, _args("preprocess", data, runs, "--variant", variant), path)
     assert f"{path}: line {n_lines + 1}: 'utf-8' codec can't decode byte 0xff" in err
+    assert not list(runs.glob("preprocess-*"))
+
+
+@pytest.mark.parametrize("name", ["tags.dat", "citations.dat"])
+@pytest.mark.parametrize("line, message", [
+    (b"\n", "empty line"),
+    (b"2 1\n", "declared 2 ids but found 1"),
+    (b"1 x\n", "invalid literal"),
+    (b"1 -1\n", "-1 out of range"),
+])
+def test_a_bad_tag_or_citation_line_exits_2_naming_it(workspace, capsys, name, line, message):
+    data, runs = workspace
+    path = data / name
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:1] + [line] + lines[2:]))
+    err = _refused(capsys, _args("preprocess", data, runs, "--variant", "cata-tags"), path)
+    assert f"{path}: line 2: " in err and message in err
     assert not list(runs.glob("preprocess-*"))
 
 

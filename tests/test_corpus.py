@@ -128,22 +128,28 @@ def test_load_mult_content_term_out_of_range(tmp_path):
 
 
 def test_load_tag_assignments_plain_and_counted(tmp_path):
+    # Tag lines are counted; an uncounted file with an empty line is refused.
     plain = tmp_path / "tags.dat"
     plain.write_text("1 3\n\n2\n")
-    assert corpus.load_tag_assignments(plain) == [(0, 1), (0, 3), (2, 2)]
+    with pytest.raises(ParseError, match="line 2: empty line"):
+        corpus.load_tag_assignments(plain)
     counted = tmp_path / "tags2.dat"
     counted.write_text("2 1 3\n0\n1 2\n")
-    assert corpus.load_tag_assignments(counted, counted=True) == [
-        (0, 1), (0, 3), (2, 2)]
+    got = corpus.load_tag_assignments(counted)
+    assert got.dtype == np.int64 and got.tolist() == [[0, 1], [0, 3], [2, 2]]
 
 
 def test_load_citations_pairs_and_adjacency(tmp_path):
+    # Citation lines are counted adjacency lines; a 'citing cited' pair
+    # file miscounts at once and is refused.
     pairs = tmp_path / "c.dat"
     pairs.write_text("0 2\n3 0\n")
-    assert corpus.load_citations(pairs) == [(0, 2), (3, 0)]
+    with pytest.raises(ParseError, match="line 1: declared 0 ids but found 1"):
+        corpus.load_citations(pairs)
     adjacency = tmp_path / "c2.dat"
     adjacency.write_text("1 2\n0\n0\n1 0\n")
-    assert corpus.load_citations(adjacency, fmt="adjacency") == [(0, 2), (3, 0)]
+    got = corpus.load_citations(adjacency)
+    assert got.dtype == np.int64 and got.tolist() == [[0, 2], [3, 0]]
 
 
 @pytest.mark.parametrize("load, text, message", [
@@ -154,9 +160,8 @@ def test_load_citations_pairs_and_adjacency(tmp_path):
     (corpus.load_mult_content, "1 0:2\n2 0:2:1 4\n", "line 2: an entry is not term:count"),
     (corpus.load_mult_content, "1 :2\n", "line 1: invalid literal"),
     (corpus.load_mult_content, "2 0:2\n", "line 1: declared 2 ids but found 1"),
-    (lambda path: corpus.load_tag_assignments(path, counted=True), "0\n\n", "line 2: empty"),
-    (corpus.load_citations, "0 1\n\n2 3 4\n", "line 3: expected 'citing cited', got 3"),
-    (lambda path: corpus.load_citations(path, fmt="adjacency"), "1\n", "line 1: declared 1"),
+    (corpus.load_tag_assignments, "0\n\n", "line 2: empty"),
+    (corpus.load_citations, "1\n", "line 1: declared 1"),
 ])
 def test_every_parse_error_names_the_file_and_line(tmp_path, load, text, message):
     path = tmp_path / "input.dat"
@@ -168,10 +173,9 @@ def test_every_parse_error_names_the_file_and_line(tmp_path, load, text, message
 @pytest.mark.parametrize("load, text, message", [
     (corpus.load_interactions, "1 0\n2 1 3\n", "line 2: article 3 out of range for 3"),
     (corpus.load_mult_content, "1 0:1\n0\n1 5:2\n", "line 3: term 5 out of range for 3"),
-    (corpus.load_tag_assignments, "1\n\n\n\n4 5\n", "line 5: article 4 out of range"),
-    (corpus.load_citations, "0 1\n\n2 3\n", "line 3: article 3 out of range"),
-    (lambda path, **kw: corpus.load_citations(path, fmt="adjacency", **kw),
-     "0\n0\n0\n1 0\n", "line 4: article 3 out of range"),
+    (corpus.load_tag_assignments, "1 1\n0\n0\n0\n2 4 5\n", "line 5: article 4 out of range"),
+    (corpus.load_citations, "1 1\n0\n1 3\n", "line 3: article 3 out of range"),
+    (corpus.load_citations, "0\n0\n0\n1 0\n", "line 4: article 3 out of range"),
 ])
 def test_out_of_range_ids_name_the_file_and_line(tmp_path, load, text, message):
     path = tmp_path / "input.dat"
@@ -185,8 +189,8 @@ def test_out_of_range_ids_name_the_file_and_line(tmp_path, load, text, message):
 @pytest.mark.parametrize("load, text, message", [
     (corpus.load_interactions, "1 2\n1 -3\n", "line 2: article -3 out of range"),
     (corpus.load_mult_content, "1 0:2\n0\n1 -2:3\n", "line 3: term -2 out of range"),
-    (corpus.load_tag_assignments, "1 2\n3 -1\n", "line 2: tag -1 out of range"),
-    (corpus.load_citations, "0 1\n-2 3\n", "line 2: article -2 out of range"),
+    (corpus.load_tag_assignments, "1 2\n1 -1\n", "line 2: tag -1 out of range"),
+    (corpus.load_citations, "1 1\n1 -2\n", "line 2: article -2 out of range"),
 ])
 def test_negative_ids_name_the_file_and_line(tmp_path, load, text, message):
     path = tmp_path / "input.dat"
@@ -296,10 +300,10 @@ def test_mult_content_equals_the_counter_based_normalisation(tmp_path_factory, r
     _same_csr(got.matrix, ref.row_max_normalised(rows, 6))
 
 
-def _loop_lines(path, counted):
+def _loop_lines(path):
     """``_lines`` through its line loop: a parse other than ``_ints`` skips
     the numpy pass over the bytes."""
-    return corpus._lines(path, counted, lambda tokens: corpus._ints(tokens))
+    return corpus._lines(path, lambda tokens: corpus._ints(tokens))
 
 
 # An id as a file may spell it: leading zeros allowed, 18 characters at most.
@@ -310,15 +314,14 @@ _BLANK = st.sampled_from(["", " ", "\t", " \t "])
 
 
 @st.composite
-def _id_file(draw, counted: bool) -> str:
-    """A file of id lines: ids parted by runs of spaces and tabs, blank space
-    at either end of a line, lines of blanks alone in a plain file, and a last
-    LF or none. A counted line opens with its id count, maybe zero-padded."""
+def _id_file(draw) -> str:
+    """A file of id lines: each opens with its id count, maybe zero-padded,
+    ids parted by runs of spaces and tabs, blank space at either end of a
+    line, and a last LF or none."""
     lines = []
     for _ in range(draw(st.integers(0, 8))):
         ids = draw(st.lists(_ID, max_size=6))
-        if counted:
-            ids = [draw(st.sampled_from(["", "0", "00"])) + str(len(ids))] + ids
+        ids = [draw(st.sampled_from(["", "0", "00"])) + str(len(ids))] + ids
         line = draw(_BLANK)
         for i, tok in enumerate(ids):
             line += (draw(_GAP) if i else "") + tok
@@ -329,14 +332,13 @@ def _id_file(draw, counted: bool) -> str:
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_numpy_pass_equals_the_line_loop(tmp_path_factory, data):
-    counted = data.draw(st.booleans())
-    text = data.draw(_id_file(counted))
+    text = data.draw(_id_file())
     path = tmp_path_factory.mktemp("lines") / "input.dat"
     path.write_text(text)
-    fast = corpus._digit_lines(path.read_bytes(), counted)
-    want = _loop_lines(path, counted)
-    assert fast is not None or not text.split()  # a file of blanks alone is left to the loop
-    for got in [corpus._lines(path, counted)] + ([fast] if fast is not None else []):
+    fast = corpus._digit_lines(path.read_bytes())
+    want = _loop_lines(path)
+    assert fast is not None
+    for got in (corpus._lines(path), fast):
         rows, values, sizes = got
         assert rows.dtype == values.dtype == np.int64 and isinstance(sizes, list)
         assert sizes == want[2]
@@ -345,17 +347,17 @@ def test_numpy_pass_equals_the_line_loop(tmp_path_factory, data):
 
 
 @settings(max_examples=100, deadline=None)
-@given(_id_file(counted=False), st.data(),
+@given(_id_file(), st.data(),
        st.sampled_from(["+7", "-7", "1_0", "٣", "1" * 19, "0" * 19, "7\r", "\xe9"]))
 def test_files_with_other_bytes_or_longer_ids_take_the_loop(text, data, bad):
     # CR, a sign, an underscore, a non-ASCII digit or byte, or a 19-digit
-    # token: the numpy pass declines, whether or not the loop accepts it,
-    # and takes the same file with an 18-digit id there.
+    # token on a line of its own: the numpy pass declines, whether or not
+    # the loop accepts it, and takes the same file with an 18-digit id there.
     lines = text.split("\n")
     at = data.draw(st.integers(0, len(lines) - 1))
     for token, taken in ((bad, False), ("9" * 18, True)):
-        edited = lines[:at] + [lines[at] + " " + token] + lines[at + 1:]
-        assert (corpus._digit_lines("\n".join(edited).encode(), False) is not None) == taken
+        edited = lines[:at] + ["1 " + token] + lines[at:]
+        assert (corpus._digit_lines("\n".join(edited).encode()) is not None) == taken
 
 
 @pytest.mark.parametrize("raw, line", [(b"1 1\n1 \xff3\n", 2), (b"1 1\r1 1\r\n1 \xe9\n", 3)])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import _synth_reference as synth_ref
-from attnrec import cli, synth
+from attnrec import cli, corpus, synth
 from attnrec.corpus import tokenize
 from attnrec.errors import ConfigError
 
@@ -60,6 +60,22 @@ def test_truth_file_contents(tmp_path):
     truth = json.loads((tmp_path / "truth.json").read_text())
     assert len(truth["article_cluster"]) == SMALL["n_articles"]
     assert truth["config"]["seed"] == SMALL["seed"]
+
+
+@pytest.mark.parametrize("citations_per_article", [0, 2])
+def test_written_dataset_reads_back_through_the_loaders(tmp_path, citations_per_article):
+    data = synth.generate(synth.SynthConfig(**SMALL, citations_per_article=citations_per_article))
+    # Articles 0, 3, 6, ... cite nothing, and the edges are out of order.
+    data.citations = [edge for edge in reversed(data.citations) if edge[0] % 3]
+    synth.write_dataset(data, tmp_path)
+    n_articles = SMALL["n_articles"]
+    r = corpus.load_interactions(tmp_path / "users.dat", n_articles=n_articles)
+    assert [r.user_items(i).tolist() for i in range(r.n_users)] == data.libraries
+    tags = corpus.load_tag_assignments(tmp_path / "tags.dat", n_articles=n_articles)
+    assert tags.tolist() == [[j, t] for j, row in enumerate(data.tags) for t in row]
+    citations = corpus.load_citations(tmp_path / "citations.dat", n_articles=n_articles)
+    assert sorted(map(tuple, citations.tolist())) == sorted(data.citations)
+    assert (tmp_path / "citations.dat").read_text().splitlines()[::3] == ["0"] * 16
 
 
 def test_config_validation():

@@ -74,8 +74,7 @@ def test_ingest_fires_each_traced_corpus_span_once(tmp_path):
     (tmp_path / "mult" / "mult.dat").write_text("2 0:1 4:2\n1 1:3\n0\n2 2:1 0:1\n")
     (tmp_path / "mult" / "tags.dat").write_text("2 0 1\n1 1\n0\n1 0\n")
     (tmp_path / "mult" / "citations.dat").write_text("1 3\n0\n2 0 1\n0\n")
-    mult = ["--content-format", "mult", "--tags-format", "counted",
-            "--citations-format", "adjacency"]
+    mult = ["--content-format", "mult"]
     text = {"corpus.read_raw_docs", "corpus.select_vocabulary", "corpus.build_bow"}
     for directory, extra, skipped in ((data, [], set()), (tmp_path / "mult", mult, text)):
         tracer = _tracer()
