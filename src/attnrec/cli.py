@@ -612,6 +612,9 @@ def main(argv=None) -> int:
     except Error as exc:  # ConfigError and any other Error exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, DataError) else 3 if isinstance(exc, NumericalError) else 1
+    except OSError as exc:  # a path that cannot be read or written; its message names it
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry():

@@ -83,6 +83,8 @@ def _rank(s, k, indptr, indices, order=None) -> np.ndarray:
     """The block form of top_k, with the exclusions as CSR arrays."""
     n_rows, m = indptr.size - 1, s.shape[-1]
     kk = min(k, m)
+    if kk == 0:  # no article to rank
+        return np.empty((n_rows, 0), dtype=np.int64)
     ex_rows = np.repeat(np.arange(n_rows), np.diff(indptr))
     if s.ndim == 1:
         # One shared row: rank it once. No row loses more of its head than
@@ -128,8 +130,8 @@ def _hits(recommended, test_items, k, metric: str):
     """Hit flags of the first max(k) ranked ids, each row's held-out count and
     the cutoffs as an array; of one list with its held-out ids, or of a block
     of ids padded with -1 with its held-out rows as a CSR matrix."""
-    ks = np.atleast_1d(k).astype(np.int64)
-    ranked = np.asarray(recommended, dtype=np.int64)[..., :ks.max()]
+    asked = [int(c) for c in np.atleast_1d(k)]
+    ranked = np.asarray(recommended, dtype=np.int64)[..., :max(asked)]
     if ranked.ndim == 2:
         held, n_held = np.zeros(test_items.shape, dtype=bool), np.diff(test_items.indptr)
         held[np.repeat(np.arange(n_held.size), n_held), test_items.indices] = True
@@ -139,6 +141,8 @@ def _hits(recommended, test_items, k, metric: str):
         found, n_held = np.isin(ranked, test)[None, :], np.array([test.size])
     if np.any(n_held == 0):
         raise ConfigError(f"{metric} undefined for an empty test set")
+    cap = max(ranked.shape[-1], int(n_held.max()))  # no value moves past it, so any int fits
+    ks = np.array([min(c, cap) for c in asked], dtype=np.int64)
     if found.shape[1] < ks.max():
         found = np.pad(found, ((0, 0), (0, ks.max() - found.shape[1])))
     return found, n_held, ks
@@ -213,7 +217,7 @@ def evaluate(score_fn, r_train: InteractionMatrix, r_test: InteractionMatrix,
     if users.size == 0:
         raise ConfigError("no user has held-out articles to evaluate")
     # a user takes n_articles scores and about four K-wide arrays to rank
-    step = max(1, BLOCK_SCORES // (r_test.n_articles + 4 * ks[-1]))
+    step = max(1, BLOCK_SCORES // (r_test.n_articles + 4 * min(ks[-1], r_test.n_articles)))
     probe = score_fn(users[:1])  # a shared row is sorted once, before the blocks start
     order = np.argsort(-np.asarray(probe, float), kind="stable") if np.ndim(probe) == 1 else None
 

@@ -1072,3 +1072,45 @@ def test_only_a_split_miss_reads_all_of_interactions_bin(workspace, monkeypatch)
     assert "interactions.bin" not in read
     assert cli.main(_args("recommend", data, runs, "--variant", "pop", "--split", "7", "3")) == 0
     assert read[-2:] == ["interactions.bin", "train.bin"]
+
+
+def test_a_cutoff_past_int64_reports_the_whole_ranking(workspace):
+    # With 60 articles, K = 1e11 and K = 1e30 rank every article, as K = 60 does.
+    data, runs = workspace
+    huge = ["100000000000", "1" + "0" * 30]
+    argv = lambda command: _args(command, data, runs, "--variant", "wrmf",
+                                 "--ks", ",".join(["60", *huge]))
+    for command in ("preprocess", "train", "evaluate"):
+        assert cli.main(argv(command)) == 0
+    reports = json.loads((_single_run_dir(runs, "evaluate-") / "reports.json").read_text())
+    rows = {(rep["split"], rep["k"]): (rep["recall"], rep["ndcg"], rep["n_users"])
+            for rep in reports}
+    for split in (1, -1):
+        assert rows[split, 60][0] == 1.0
+        assert rows[split, 60] == rows[split, int(huge[0])] == rows[split, int(huge[1])]
+
+
+@pytest.mark.parametrize("variant", ["wrmf", "pop"])
+def test_recommend_over_no_article_prints_nothing(tmp_path, capsys, variant):
+    data, runs = tmp_path / "data", tmp_path / "runs"
+    data.mkdir()
+    (data / "users.dat").write_text("0\n0\n")
+    argv = ["--data-dir", str(data), "--out-dir", str(runs), "--variant", variant]
+    for command in ("preprocess", "train"):
+        assert cli.main([command, *argv]) == 0
+    capsys.readouterr()
+    assert cli.main(["recommend", *argv, "0"]) == 0
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", ["preprocess", "synth"])
+def test_a_path_that_cannot_be_written_exits_2_naming_it(workspace, tmp_path, capsys, command):
+    data, _ = workspace
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    argv = (["preprocess", "--data-dir", str(data), "--out-dir", str(blocker)]
+            if command == "preprocess" else ["synth", "--out", str(blocker / "sub")])
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocker) in err

@@ -89,6 +89,14 @@ def test_top_k_rejects_k_below_one(k):
         ev.top_k(np.array([0.1, 0.9, 0.5]), k)
 
 
+def test_top_k_over_no_article_is_empty():
+    # A list, a block and a shared row each keep their shape with no column.
+    assert ev.top_k(np.array([]), 3).tolist() == []
+    exclude = sparse.csr_matrix((2, 0))
+    assert ev.top_k(np.empty((2, 0)), 3, exclude=exclude).shape == (2, 0)
+    assert ev.top_k(np.array([]), 3, exclude=exclude).shape == (2, 0)
+
+
 def test_recall_hand_values():
     assert ev.recall_at_k([5, 7, 9], {7, 11}, 3) == 0.5
     assert ev.recall_at_k([1, 2], {1, 2}, 2) == 1.0
@@ -349,6 +357,30 @@ def test_cutoff_sequence_equals_each_int_cutoff(ks):
             assert type(r) is float and type(g) is float
             assert one_recall[j] == r == recall[i, j] == ref.recall_at_k(ids, test, k)
             assert one_ndcg[j] == g == ndcg[i, j] == ref.ndcg_at_k(ids, test, k)
+
+
+def test_a_cutoff_past_int64_reads_as_the_whole_ranking():
+    # No value moves once k passes the ranked width and every held-out count,
+    # which here exceeds the width, so a k too large for an int64 gives the
+    # whole ranking's values in list and block form, alone or in a sequence.
+    rng = np.random.default_rng(12)
+    n, m, huge = 5, 12, 10**30
+    ranked = np.array([rng.permutation(m) for _ in range(n)])
+    ranked[1, 4:] = -1
+    member = rng.random((n, 3 * m)) < 0.5
+    member[:, 0] = True
+    held = sparse.csr_matrix(member)
+    recall, ndcg = ev.recall_at_k(ranked, held, [3, huge]), ev.ndcg_at_k(ranked, held, [3, huge])
+    assert (recall[:, 1] == ev.recall_at_k(ranked, held, huge)).all()
+    assert (ndcg[:, 1] == ev.ndcg_at_k(ranked, held, huge)).all()
+    for i in range(n):
+        ids, test = ranked[i][ranked[i] >= 0], np.flatnonzero(member[i])
+        assert len(test) > m
+        r, g = ev.recall_at_k(ids, test, huge), ev.ndcg_at_k(ids, test, huge)
+        assert r == recall[i, 1] == ref.recall_at_k(ids.tolist(), test, huge)
+        assert g == ndcg[i, 1] == ref.ndcg_at_k(ids.tolist(), test, huge)
+        assert ev.recall_at_k(ids, test, [3, huge]).tolist() == recall[i].tolist()
+        assert ev.ndcg_at_k(ids, test, [3, huge]).tolist() == ndcg[i].tolist()
 
 
 # (k, articles scored above the tie block): the block of 24 tied scores out of

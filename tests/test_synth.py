@@ -1,5 +1,9 @@
 import filecmp
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,3 +156,14 @@ def test_no_shared_words_is_valid_without_shared_tokens():
     config = synth.SynthConfig(**SMALL, shared_words=0, cluster_token_fraction=1.0)
     config.validate()
     assert all(len(tokenize(doc)) == SMALL["doc_length"] for doc in synth.generate(config).docs)
+
+
+def test_importing_synth_loads_only_its_own_imports():
+    # The package exports nothing, so one module's import loads what it imports.
+    src = str(Path(synth.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, attnrec.synth; print(' '.join(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('attnrec', 'scipy'))))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stdout.split() == ["attnrec", "attnrec.errors", "attnrec.synth"]
