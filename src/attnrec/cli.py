@@ -179,8 +179,9 @@ def _stage(config: ExperimentConfig, kind: str, key: dict, build=None, reads=Non
 
     ``key`` holds the ``inputs`` (digests or stage names) and the settings
     that reach the stage, never a path, so a stale parent is a missing one.
-    Without ``build`` the stage is a parent that must exist. With it, a hit
-    is verified against its manifest, only in the files ``reads`` names when
+    Every lookup refuses a manifest whose key differs from ``key``. Without
+    ``build`` the stage is a parent that must exist. With it, a hit is
+    verified against its manifest, only in the files ``reads`` names when
     given; a miss runs ``build(tmp)``, which returns stats, and publishes the
     key, the stats and the file digests.
 
@@ -191,11 +192,13 @@ def _stage(config: ExperimentConfig, kind: str, key: dict, build=None, reads=Non
     is discarded, since builds of one key write identical bytes.
     """
     final = os.path.join(config.out_dir, f"{kind}-{_digest12(key)}")
-    if build is None:
-        if not os.path.isdir(final):
-            raise DataError(f"missing {final}; run `attnrec {kind}` first")
-        return final
     if os.path.isdir(final):
+        stored = {n: v for n, v in _manifest(final).items() if n not in ("stats", "files")}
+        if stored != json.loads(json.dumps(key)):  # JSON has no tuples
+            raise DataError(f"{final}/manifest.json: its key is not the one that names "
+                            f"the stage; delete {final} to build it again")
+        if build is None:
+            return final
         logger.info("stage hit: %s", os.path.basename(final))
         digests = _manifest(final, "files")
         for name in digests if reads is None else reads:
@@ -204,6 +207,8 @@ def _stage(config: ExperimentConfig, kind: str, key: dict, build=None, reads=Non
                 raise DataError(f"{path}: contents differ from the digest in "
                                 f"{final}/manifest.json; delete {final} to build it again")
         return final
+    if build is None:
+        raise DataError(f"missing {final}; run `attnrec {kind}` first")
     logger.info("stage miss: %s", os.path.basename(final))
     parent = config.out_dir or "."
     os.makedirs(parent, exist_ok=True)
@@ -223,12 +228,13 @@ def _stage(config: ExperimentConfig, kind: str, key: dict, build=None, reads=Non
     return final
 
 
-def _manifest(stage: str, field: str) -> dict:
-    """The ``stats`` or ``files`` object of a published stage's manifest."""
+def _manifest(stage: str, field: str | None = None) -> dict:
+    """A published stage's manifest, or its ``stats`` or ``files`` object."""
     path = os.path.join(stage, "manifest.json")
     try:
         with open(path) as fh:
-            return dict(json.load(fh)[field])
+            manifest = dict(json.load(fh))
+        return manifest if field is None else dict(manifest[field])
     except (OSError, ValueError, LookupError, TypeError) as exc:
         raise DataError(f"{path}: unreadable stage manifest: {exc!r}") from None
 

@@ -13,7 +13,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -196,82 +196,70 @@ def read_raw_docs(path) -> list:
 # file loaders
 # --------------------------------------------------------------------------
 
-def _ints(tokens) -> np.ndarray:
-    """Integer tokens as int64, each parsed as by ``int``."""
-    return np.fromiter(tokens, dtype=np.int64, count=len(tokens))
+_TOKEN = re.compile(rb"[^ \t\r\n]+")
 
 
-def _term_counts(tokens) -> np.ndarray:
-    """Mult 'term:count' tokens as [term, count, term, count, ...]."""
-    if not set(map(str.count, tokens, repeat(":"))) <= {1}:
-        raise ValueError("an entry is not term:count")
-    values = _ints(":".join(tokens).split(":") if tokens else [])
-    if values[1::2].min(initial=1) <= 0:
-        raise ValueError("a term count is not positive")
-    return values
-
-
-def _digit_lines(raw: bytes):
-    """``_lines`` of a file of ASCII digits, spaces, tabs and LFs, by numpy
-    passes over its bytes; None, for the loop to parse or refuse, when a byte
-    is any other, a token passes 18 digits (int64 might overflow) or a line
-    is empty or miscounted."""
-    if raw.translate(None, b"0123456789 \t\n"):
-        return None
-    buf = np.frombuffer(raw, np.uint8)
-    digit = np.zeros(buf.size + 2, dtype=bool)
-    digit[1:-1] = buf >= ord("0")  # the blanks left all lie below "0"
-    starts, ends = np.flatnonzero(digit[1:] != digit[:-1]).reshape(-1, 2).T
-    if (ends - starts).max(initial=0) > 18:
-        return None
-    values = np.fromstring(raw, np.int64, sep=" ")
-    if values.size != starts.size:  # a file of blanks reads as one 0
-        return None
-    stops = np.flatnonzero(buf == ord("\n"))
-    if raw and not raw.endswith(b"\n"):  # a last line without its LF
-        stops = np.append(stops, buf.size)
-    sizes = np.diff(np.searchsorted(starts, stops), prepend=0)
-    firsts = np.cumsum(sizes) - sizes
-    if sizes.min(initial=1) < 1 or np.any(values[firsts] != sizes - 1):
-        return None
-    values, sizes = np.delete(values, firsts), sizes - 1
-    return np.repeat(np.arange(sizes.size), sizes), values, sizes.tolist()
-
-
-def _lines(path, parse=_ints) -> tuple:
+def _lines(path, pairs=False) -> tuple:
     """The ids of a file whose line i+1 lists the ids of row i: the row of
-    each token, ``parse`` of all tokens, and the token count of each line.
+    each id, the ids, and the id count of each line. With ``pairs`` an id is
+    a 'term:count' entry with a positive count, read as two values.
 
-    A line opens with the number of tokens that follow, so it may not be
-    empty. Every error, a byte that is not UTF-8 too, is a ParseError naming
-    the file and line. ``_digit_lines`` reads most files.
+    A line opens with the number of ids that follow, so it may not be empty.
+    A number is ASCII digits after an optional '-', 18 characters at most so
+    that int64 holds it; numbers part at spaces and tabs, and lines end at
+    LF, CRLF or CR, as text mode ends them. Any other input is a ParseError
+    naming the file, the first bad line, and its token. One numpy pass over
+    the bytes reads the file; line numbers are worked out only on error.
     """
     raw = Path(path).read_bytes()
-    if parse is _ints and (found := _digit_lines(raw)):
-        return found
-    sizes, tokens = [], []
-    for line in raw.splitlines():  # splits as text mode does
-        try:
-            parts = line.decode("utf-8").split()
-            if not parts:
-                raise ValueError("empty line")
-            declared, parts = int(parts[0]), parts[1:]
-            if declared != len(parts):
-                raise ValueError(f"declared {declared} ids but found {len(parts)}")
-        except ValueError as exc:  # UnicodeDecodeError is one
-            raise ParseError(f"{path}: line {len(sizes) + 1}: {exc}") from None
-        tokens += parts
-        sizes.append(len(parts))
-    try:
-        values = parse(tokens)
-    except (ValueError, OverflowError):  # parse again line by line to name the line
-        ends = np.cumsum(sizes)
-        for lineno, (start, end) in enumerate(zip(ends - sizes, ends), start=1):
-            try:
-                parse(tokens[start:end])
-            except (ValueError, OverflowError) as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from None
-    return np.repeat(np.arange(len(sizes)), sizes), values, sizes
+    buf = np.frombuffer(raw + b" ", np.uint8)  # buf[-1], also read before byte 0, is blank
+    stops = np.flatnonzero((buf == 10) | (buf == 13))
+    stops = stops[(buf[stops] == 10) | (buf[stops + 1] != 10)]  # a CRLF ends at its LF
+    if raw[-1:] not in (b"", b"\n", b"\r"):  # a last line without its break
+        stops = np.append(stops, len(raw))
+    num = np.zeros(buf.size + 1, dtype=bool)  # num[i + 1]: byte i is a digit or '-'
+    num[1:] = (buf >= 45) & (buf != 58)  # exact on lines of allowed bytes; others fail
+    starts, ends = np.flatnonzero(num[1:] != num[:-1]).reshape(-1, 2).T  # the numbers
+    sizes = np.diff(np.searchsorted(starts, stops), prepend=0)  # numbers per line
+    firsts = np.cumsum(sizes) - sizes
+    digit = lambda at: (buf[at] >= 48) & (buf[at] <= 57)  # are the bytes at ``at`` digits
+
+    # (where, message) of each fault; the first is reported, on a tie the first listed.
+    minus = np.flatnonzero(buf == 45)
+    odd = raw.translate(None, b"0123456789- \t\r\n" + b":" * pairs)
+    faults = [([raw.index(odd[:1])] if odd else [], "invalid literal {}"),
+              (minus[num[minus] | ~digit(minus + 1)], "invalid literal {}"),
+              (starts[ends - starts > 18], "number too large in {}: over 18 characters"),
+              (stops[sizes == 0], "empty line")]
+    if pairs:  # each entry is one colon between two numbers, each count positive
+        colons = np.flatnonzero(buf == 58)
+        counts, terms = buf[starts - 1] == 58, buf[ends] == 58  # numbers after, before one
+        unpaired = counts == terms  # neither or both, or a line's count before a colon
+        heads = firsts[sizes > 0]
+        unpaired[heads] = terms[heads]
+        faults += [(colons[~digit(colons - 1) | ~num[colons + 2]], "invalid literal {}"),
+                   (starts[unpaired], "an entry is not term:count: {}")]
+    faults = [(np.min(where), message) for where, message in faults if len(where)]
+
+    # Values are read from the lines before the first fault, which may hold an earlier one.
+    clean = int(np.searchsorted(stops, min(faults)[0])) if faults else stops.size
+    n = sizes[:clean].sum()
+    text = raw[:stops[clean - 1] + 1 if clean else 0]
+    values = np.fromstring(text.replace(b":", b" ") if pairs else text, np.int64, sep=" ")
+    sizes, firsts = sizes[:clean], firsts[:clean]
+    found = (sizes - 1) // (1 + pairs)
+    if (wrong := np.flatnonzero(values[firsts] != found)).size:
+        i = firsts[wrong[0]]
+        faults.append((starts[i], f"declared {values[i]} ids but found {found[wrong[0]]}"))
+    if pairs and (low := starts[:n][counts[:n] & (values <= 0)]).size:
+        faults.append((low[0], "a term count is not positive: {}"))
+    if faults:
+        pos, message = min(faults, key=lambda fault: fault[0])
+        line = int(np.searchsorted(stops, pos))
+        begin = stops[line - 1] + 1 if line else 0
+        token = next((m.group() for m in _TOKEN.finditer(raw, begin) if m.end() > pos), b"")
+        raise ParseError(f"{path}: line {line + 1}: " + message.format(repr(token)))
+    return np.repeat(np.arange(sizes.size), found), np.delete(values, firsts), found.tolist()
 
 
 def _bound(path, rows, ids, limit, what) -> int:
@@ -304,7 +292,7 @@ def load_mult_content(path, vocab_size: int | None = None) -> ContentMatrix:
 
     Counts are max-normalized per row into (0, 1].
     """
-    articles, values, sizes = _lines(path, _term_counts)
+    articles, values, sizes = _lines(path, pairs=True)
     if not sizes:
         raise DataError(f"{path}: no articles")
     terms, counts = values.reshape(-1, 2).T

@@ -1,12 +1,15 @@
 """Per-row reference implementations of the corpus builders.
 
-These are the loop versions that ``attnrec.corpus`` replaced with sparse
+These are the loop versions that ``attnrec.corpus`` replaced with numpy
 kernels: a tag builder that filters and propagates through Python sets
-article by article, and a row-max normalisation over one ``Counter`` per
-row. The tests require the sparse code to give exactly the same matrices.
+article by article, a row-max normalisation over one ``Counter`` per row,
+and a line parser that splits each decoded line and reads its tokens with
+``int``. The tests require the numpy code to give exactly the same results
+on valid input.
 """
 
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 from scipy import sparse
@@ -69,3 +72,20 @@ def row_max_normalised(rows, n_cols):
     )
     mat.sort_indices()
     return mat
+
+
+def lines(path, pairs=False):
+    """The rows, values and per-line id counts of a counted id file, or with
+    ``pairs`` of a mult file, read line by line as text mode splits it."""
+    sizes, values = [], []
+    for line in Path(path).read_bytes().splitlines():
+        parts = line.decode("utf-8").split()
+        if not parts or int(parts[0]) != len(parts) - 1:
+            raise ValueError(f"line {len(sizes) + 1} is empty or miscounted")
+        for part in parts[1:]:
+            fields = part.split(":")
+            if len(fields) != 1 + pairs or (pairs and int(fields[1]) <= 0):
+                raise ValueError(f"line {len(sizes) + 1}: {part!r}")
+            values.extend(map(int, fields))
+        sizes.append(len(parts) - 1)
+    return np.repeat(np.arange(len(sizes)), sizes), np.array(values, dtype=np.int64), sizes

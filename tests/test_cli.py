@@ -6,13 +6,14 @@ import shutil
 import subprocess
 import sys
 import threading
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from attnrec import cli, evaluation, storage
+from attnrec import cli, corpus, evaluation, storage
 from attnrec.corpus import InteractionMatrix
 from attnrec.errors import NumericalError
 
@@ -1035,7 +1036,9 @@ def test_a_byte_that_is_not_utf8_exits_2_naming_its_line(workspace, capsys, name
     with open(path, "ab") as fh:
         fh.write(b"1 \xff3\n")
     err = _refused(capsys, _args("preprocess", data, runs, "--variant", variant), path)
-    assert f"{path}: line {n_lines + 1}: 'utf-8' codec can't decode byte 0xff" in err
+    message = ("'utf-8' codec can't decode byte 0xff" if name == "docs.txt"
+               else "invalid literal b'\\xff3'")  # an id file names the token
+    assert f"{path}: line {n_lines + 1}: {message}" in err
     assert not list(runs.glob("preprocess-*"))
 
 
@@ -1114,3 +1117,61 @@ def test_a_path_that_cannot_be_written_exits_2_naming_it(workspace, tmp_path, ca
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(blocker) in err
+
+
+@pytest.mark.parametrize("kind, field, commands", [
+    ("preprocess", "min_articles_per_tag",
+     (("preprocess",), ("train",), ("evaluate", "--compare", "pop"), ("recommend", "3"))),
+    ("ae-text", "epochs", (("train",),)),
+    ("ae-tag", "batch_size", (("train",),)),
+    ("split", "p", (("recommend", "3"), ("evaluate", "--ks", "7"))),
+    ("train", "lambda_v", (("train",), ("evaluate", "--compare", "pop"), ("recommend", "3"))),
+    ("evaluate", "ks", (("evaluate", "--compare", "pop"),)),
+])
+def test_an_edited_stage_manifest_exits_2_naming_it(workspace, capsys, kind, field, commands):
+    # Each command that looks the stage up, as a parent or as a hit.
+    data, runs = workspace
+    for command, *more in (("preprocess",), ("train",), ("evaluate", "--compare", "pop")):
+        assert cli.main(_args(command, data, runs, *more)) == 0
+    path = _single_run_dir(runs, f"{kind}-") / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest[field] = [manifest[field]]
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    stages = set(os.listdir(runs))
+    for command, *more in commands:
+        _refused(capsys, _args(command, data, runs, *more), path)
+    assert set(os.listdir(runs)) == stages
+
+
+def test_mult_content_runs_end_to_end_whatever_ends_its_lines(workspace, tmp_path):
+    # The synth docs as mult.dat against the vocabulary preprocess picks from
+    # them, with every input file's lines ended by LF, CRLF or CR.
+    data, _ = workspace
+    docs = corpus.read_raw_docs(data / "docs.txt")
+    vocab = corpus.select_vocabulary(docs, corpus.load_stop_words(), 60)
+    index = {tok: i for i, tok in enumerate(vocab.tokens)}
+    texts = {"mult.dat": []}
+    for doc in docs:
+        counts = Counter(index[tok] for tok in doc if tok in index)
+        texts["mult.dat"].append(" ".join([str(len(counts))]
+                                          + [f"{t}:{c}" for t, c in counts.items()]))
+    for name in ("users.dat", "tags.dat", "citations.dat"):
+        texts[name] = (data / name).read_text().splitlines()
+    seen = []
+    for i, end in enumerate(("\n", "\r\n", "\r")):
+        copy, runs = tmp_path / f"data{i}", tmp_path / f"runs{i}"
+        copy.mkdir()
+        for name, lines in texts.items():
+            (copy / name).write_bytes("".join(line + end for line in lines).encode())
+        argv = lambda command, variant, *more: _args(
+            command, copy, runs, "--content-format", "mult", "--variant", variant,
+            "--epochs", "2", *more)
+        assert cli.main(argv("preprocess", "cata++")) == 0
+        for command, *more in (("preprocess",), ("train",), ("evaluate", "--compare", "pop"),
+                               ("recommend", "3")):
+            assert cli.main(argv(command, "cata", *more)) == 0
+        pre = next(d for d in runs.glob("preprocess-*") if (d / "tags.bin").exists())
+        seen.append(({name: (pre / name).read_bytes()
+                      for name in ("content.bin", "tags.bin", "interactions.bin")},
+                     sorted(d.name for d in runs.glob("ae-text-*"))))
+    assert seen[0] == seen[1] == seen[2]

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -162,6 +163,9 @@ def test_load_citations_pairs_and_adjacency(tmp_path):
     (corpus.load_mult_content, "2 0:2\n", "line 1: declared 2 ids but found 1"),
     (corpus.load_tag_assignments, "0\n\n", "line 2: empty"),
     (corpus.load_citations, "1\n", "line 1: declared 1"),
+    (corpus.load_interactions, "1 1\r\n0\r\n\r\n", "line 3: empty line"),
+    (corpus.load_interactions, "2 1\n1 x\n", "line 1: declared 2 ids but found 1"),
+    (corpus.load_mult_content, "1 0:0\n1 0:1:2\n", "line 1: a term count is not positive"),
 ])
 def test_every_parse_error_names_the_file_and_line(tmp_path, load, text, message):
     path = tmp_path / "input.dat"
@@ -300,64 +304,88 @@ def test_mult_content_equals_the_counter_based_normalisation(tmp_path_factory, r
     _same_csr(got.matrix, ref.row_max_normalised(rows, 6))
 
 
-def _loop_lines(path):
-    """``_lines`` through its line loop: a parse other than ``_ints`` skips
-    the numpy pass over the bytes."""
-    return corpus._lines(path, lambda tokens: corpus._ints(tokens))
+def _spelt(value: int):
+    """``value`` as a file may spell it: zero-padded up to 18 characters."""
+    digits, sign = str(abs(value)), "-" * (value < 0)
+    return st.integers(0, 18 - len(sign + digits)).map(lambda zeros: sign + "0" * zeros + digits)
 
 
-# An id as a file may spell it: leading zeros allowed, 18 characters at most.
-_ID = (st.integers(0, 60) | st.integers(0, 10 ** 18 - 1) | st.just(10 ** 18 - 1)).flatmap(
-    lambda v: st.integers(0, 18 - len(str(v))).map(lambda zeros: "0" * zeros + str(v)))
+_ID = (st.integers(-60, 60) | st.integers(-10 ** 17 + 1, 10 ** 18 - 1)
+       | st.sampled_from([10 ** 18 - 1, -10 ** 17 + 1])).flatmap(_spelt)
+_ENTRY = st.tuples(_ID, st.integers(1, 10 ** 18 - 1).flatmap(_spelt)).map(":".join)
 _GAP = st.sampled_from([" ", "  ", "\t", " \t", "\t\t ", "   "])
 _BLANK = st.sampled_from(["", " ", "\t", " \t "])
 
 
 @st.composite
-def _id_file(draw) -> str:
-    """A file of id lines: each opens with its id count, maybe zero-padded,
-    ids parted by runs of spaces and tabs, blank space at either end of a
-    line, and a last LF or none."""
+def _id_lines(draw, pairs) -> list:
+    """Lines of a valid id file, or with ``pairs`` of a mult file: each opens
+    with its id count, ids parted by runs of spaces and tabs, and blank space
+    at either end."""
     lines = []
     for _ in range(draw(st.integers(0, 8))):
-        ids = draw(st.lists(_ID, max_size=6))
-        ids = [draw(st.sampled_from(["", "0", "00"])) + str(len(ids))] + ids
-        line = draw(_BLANK)
-        for i, tok in enumerate(ids):
-            line += (draw(_GAP) if i else "") + tok
+        ids = draw(st.lists(_ENTRY if pairs else _ID, max_size=6))
+        line = draw(_BLANK) + draw(_spelt(len(ids)))
+        for tok in ids:
+            line += draw(_GAP) + tok
         lines.append(line + draw(_BLANK))
-    return "\n".join(lines) + (draw(st.sampled_from(["\n", ""])) if lines else "")
+    return lines
+
+
+@st.composite
+def _joined(draw, lines) -> bytes:
+    """``lines`` each ended by LF, CRLF or CR, the last maybe by none."""
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if lines and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(map(str.__add__, lines, ends)).encode("utf-8", "surrogateescape")
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_numpy_pass_equals_the_line_loop(tmp_path_factory, data):
-    text = data.draw(_id_file())
+@given(st.data(), st.booleans())
+def test_numpy_pass_equals_the_line_loop(tmp_path_factory, data, pairs):
     path = tmp_path_factory.mktemp("lines") / "input.dat"
-    path.write_text(text)
-    fast = corpus._digit_lines(path.read_bytes())
-    want = _loop_lines(path)
-    assert fast is not None
-    for got in (corpus._lines(path), fast):
-        rows, values, sizes = got
-        assert rows.dtype == values.dtype == np.int64 and isinstance(sizes, list)
-        assert sizes == want[2]
-        np.testing.assert_array_equal(rows, want[0])
-        np.testing.assert_array_equal(values, want[1])
+    path.write_bytes(data.draw(_joined(data.draw(_id_lines(pairs)))))
+    rows, values, sizes = corpus._lines(path, pairs)
+    want = ref.lines(path, pairs)
+    assert rows.dtype == values.dtype == np.int64 and isinstance(sizes, list)
+    assert sizes == want[2]
+    np.testing.assert_array_equal(rows, want[0])
+    np.testing.assert_array_equal(values, want[1])
+
+
+# Tokens that only ``int`` read, or that no reading takes; "\udcff" writes byte 0xff.
+_REFUSED = ["+7", "1_0", "٣", "1" * 19, "0" * 19, "3\v", "\udcff", ":", ":2", "2:", "0::2",
+            "5-3", "-"]
 
 
 @settings(max_examples=100, deadline=None)
-@given(_id_file(), st.data(),
-       st.sampled_from(["+7", "-7", "1_0", "٣", "1" * 19, "0" * 19, "7\r", "\xe9"]))
-def test_files_with_other_bytes_or_longer_ids_take_the_loop(text, data, bad):
-    # CR, a sign, an underscore, a non-ASCII digit or byte, or a 19-digit
-    # token on a line of its own: the numpy pass declines, whether or not
-    # the loop accepts it, and takes the same file with an 18-digit id there.
-    lines = text.split("\n")
-    at = data.draw(st.integers(0, len(lines) - 1))
-    for token, taken in ((bad, False), ("9" * 18, True)):
-        edited = lines[:at] + ["1 " + token] + lines[at:]
-        assert (corpus._digit_lines("\n".join(edited).encode()) is not None) == taken
+@given(st.data(), st.booleans(), st.sampled_from(_REFUSED))
+def test_a_bad_token_on_any_line_is_refused_naming_it(tmp_path_factory, data, pairs, bad):
+    # The bad token's line, however the lines before it end, and not an
+    # 18-digit id in its place.
+    lines = data.draw(_id_lines(pairs))
+    at = data.draw(st.integers(0, len(lines)))
+    path = tmp_path_factory.mktemp("bad") / "input.dat"
+    good = "1 " + "9" * 18 + ":1" * pairs
+    path.write_bytes(data.draw(_joined(lines[:at] + [good] + lines[at:])))
+    assert corpus._lines(path, pairs)[2][at] == 1
+    path.write_bytes(data.draw(_joined(lines[:at] + [f"1 {bad}"] + lines[at:])))
+    with pytest.raises(ParseError, match=f"input\\.dat: line {at + 1}: ") as caught:
+        corpus._lines(path, pairs)
+    assert repr(bad.encode("utf-8", "surrogateescape")) in str(caught.value)
+
+
+@pytest.mark.parametrize("bad", _REFUSED)
+@pytest.mark.parametrize("load", [corpus.load_interactions, corpus.load_tag_assignments,
+                                  corpus.load_citations, corpus.load_mult_content])
+def test_every_loader_refuses_each_token_outside_the_grammar(tmp_path, load, bad):
+    path = tmp_path / "input.dat"
+    head = "1 0:1" if load is corpus.load_mult_content else "1 0"
+    path.write_bytes(f"{head}\r\n1 {bad}\n".encode("utf-8", "surrogateescape"))
+    with pytest.raises(ParseError, match="input\\.dat: line 2: ") as caught:
+        load(path)
+    assert repr(bad.encode("utf-8", "surrogateescape")) in str(caught.value)
 
 
 @pytest.mark.parametrize("raw, line", [(b"1 1\n1 \xff3\n", 2), (b"1 1\r1 1\r\n1 \xe9\n", 3)])
@@ -365,9 +393,11 @@ def test_files_with_other_bytes_or_longer_ids_take_the_loop(text, data, bad):
                                   corpus.load_citations, corpus.load_mult_content,
                                   corpus.read_raw_docs])
 def test_a_byte_that_is_not_utf8_names_the_file_and_line(tmp_path, load, raw, line):
-    # Lines are counted as text mode counts them, CR and CRLF included.
+    # Lines are counted as text mode counts them, CR and CRLF included. An id
+    # file names the token holding the byte; a text file, the decode error.
     path = tmp_path / "input.dat"
-    path.write_bytes(raw)
-    with pytest.raises(ParseError, match=f"input\\.dat: line {line}: 'utf-8' codec can't "
-                                         "decode byte"):
+    path.write_bytes(raw.replace(b"1 1", b"1 1:1") if load is corpus.load_mult_content else raw)
+    message = ("'utf-8' codec can't decode byte" if load is corpus.read_raw_docs
+               else re.escape(f"invalid literal {raw.split()[-1]!r}"))
+    with pytest.raises(ParseError, match=f"input\\.dat: line {line}: {message}"):
         load(path)
