@@ -16,7 +16,7 @@ import logging
 import numpy as np
 from scipy import sparse
 
-from . import storage
+from . import blas, storage
 from .errors import ConfigError, DataError, NumericalError
 from .nn import (Adam, Attention, BatchNorm, Dense, ReLU, Sequential, Sigmoid,
                  attention_bottleneck, bce_grad, bce_loss, flatten)
@@ -63,6 +63,7 @@ class AttentiveAutoencoder:
     def latent_dim(self) -> int:
         return self.widths[-1]
 
+    @blas.single_threaded()
     def encode(self, rows) -> np.ndarray:
         """Latent rows: the layers below the attention gate in evaluation mode,
         in float64 over one densified chunk of rows at a time, then the gate."""
@@ -117,13 +118,14 @@ def _batch_slices(n: int, batch_size: int):
     return list(zip(bounds[:-1], bounds[1:]))
 
 
+@blas.single_threaded()
 def pretrain(ae: AttentiveAutoencoder, data, epochs: int = 200, batch_size: int = 128,
              seed: int = 0) -> list:
     """Train the autoencoder to reconstruct its input rows under BCE.
 
     Computes in float32 and shuffles the rows once per epoch. Returns the
-    per-epoch mean reconstruction loss. Deterministic for a fixed seed;
-    epochs=0 leaves the model untouched and returns [].
+    per-epoch mean reconstruction loss. Deterministic for a fixed seed at any
+    OpenBLAS thread count; epochs=0 leaves the model untouched and returns [].
     """
     data = _csr(data, ae.input_dim, np.float32)
     n = data.shape[0]

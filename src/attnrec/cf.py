@@ -100,8 +100,8 @@ def objective(r: InteractionMatrix, model: FactorModel, prior: np.ndarray,
     so the dense term costs O((n+m) d^2) instead of O(n m d); a given ``gram`` is V^T V.
     """
     U, V = model.U, model.V
-    coo = r.matrix.tocoo()
-    pred_obs = np.einsum("ij,ij->i", U[coo.row], V[coo.col])
+    rows = np.repeat(np.arange(r.n_users), np.diff(r.matrix.indptr))  # the CSR order
+    pred_obs = np.einsum("ij,ij->i", U[rows], V[r.matrix.indices])
     gram = V.T @ V if gram is None else gram
     weighted = (model.b * float(np.vdot(U @ gram, U))
                 + float((model.a * (1.0 - pred_obs) ** 2 - model.b * pred_obs ** 2).sum()))

@@ -318,28 +318,41 @@ def cmd_synth(config: ExperimentConfig, args) -> int:
 def cmd_preprocess(config: ExperimentConfig, args) -> int:
     final = _stage(config, "preprocess", _preprocess_key(config),
                    lambda tmp: _preprocess(config, tmp))
+    stats = _manifest(final, "stats")
+    if json.dumps(stats, sort_keys=True) != json.dumps(_cache_stats(final), sort_keys=True):
+        raise DataError(f"{final}/manifest.json: its stats are not the counts in the cache "
+                        f"headers; delete {final} to build it again")
     print(f"preprocess cache: {final}")
-    for key, value in sorted(_manifest(final, "stats").items()):
+    for key, value in sorted(stats.items()):
         print(f"  {key}: {value}")
     return 0
 
 
+def _cache_stats(stage: str) -> dict:
+    """The stats of a preprocess stage, from its caches' (rows, cols, nnz) headers."""
+    stats = {}
+    for name, magic, names in (
+            ("interactions.bin", storage.MAGIC_INTERACTIONS, ("n_users", "n_articles", "n_pairs")),
+            ("content.bin", storage.MAGIC_CONTENT, ("n_articles", "vocab_size")),
+            ("tags.bin", storage.MAGIC_TAGS, ("n_articles", "n_tags"))):
+        if os.path.isfile(path := os.path.join(stage, name)):
+            stats.update(zip(names, storage._csr_header(path, magic, name == "content.bin")[1:]))
+    return stats
+
+
 def _preprocess(config: ExperimentConfig, tmp: str) -> dict:
     raw = config.data_dir
-    stats = {}
     content = None
     n_articles = None
     if "text" in config.autoencoders:
         if config.content_format == "mult":
             content = load_mult_content(os.path.join(raw, "mult.dat"),
                                         vocab_size=config.vocab_size)
-            stats["vocab_size"] = content.vocab_size
         else:
             docs = read_raw_docs(os.path.join(raw, "docs.txt"))
             vocab = select_vocabulary(docs, load_stop_words(), config.vocab_size)
             vocab.save(os.path.join(tmp, "vocab.tsv"))
             content = build_bow(docs, vocab)
-            stats["vocab_size"] = len(vocab)
         content.save(os.path.join(tmp, "content.bin"))
         n_articles = content.n_articles
 
@@ -347,8 +360,6 @@ def _preprocess(config: ExperimentConfig, tmp: str) -> dict:
     if n_articles is None:
         n_articles = interactions.n_articles
     interactions.save(os.path.join(tmp, "interactions.bin"))
-    stats.update(n_users=interactions.n_users, n_articles=n_articles,
-                 n_pairs=interactions.n_pairs)
 
     if "tag" in config.autoencoders:
         assignments = load_tag_assignments(os.path.join(raw, "tags.dat"), n_articles=n_articles)
@@ -357,8 +368,7 @@ def _preprocess(config: ExperimentConfig, tmp: str) -> dict:
                                       config.min_articles_per_tag,
                                       n_articles=n_articles)
         tag_matrix.save(os.path.join(tmp, "tags.bin"))
-        stats["n_tags"] = tag_matrix.n_tags
-    return stats
+    return _cache_stats(tmp)
 
 
 def _pretrain(config: ExperimentConfig, name: str, pre: str, tmp: str) -> dict:

@@ -10,10 +10,9 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from collections import Counter
+from collections import namedtuple
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +146,10 @@ class TagMatrix:
         return cls(storage.read_tags(path))
 
 
+# Per token its document (line) and word id; the sorted words, by id; the document count.
+Tokens = namedtuple("Tokens", "docs ids words n_docs")
+
+
 @dataclass
 class Vocabulary:
     """Selected tokens, ordered by descending TF-IDF score, ties ascending."""
@@ -155,9 +158,6 @@ class Vocabulary:
     doc_freq: np.ndarray
     max_tf: np.ndarray
     scores: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.tokens)
 
     def save(self, path):
         rows = zip(self.tokens, self.doc_freq.tolist(), self.max_tf.tolist(), self.scores.tolist())
@@ -175,21 +175,38 @@ def load_stop_words() -> frozenset:
     return frozenset(text.split())
 
 
-def tokenize(text: str) -> list:
-    """Lowercase and keep maximal alphabetic runs; digits and punctuation split."""
-    return re.findall("[a-z]+", text.lower())
-
-
-def read_raw_docs(path) -> list:
-    """One document (title+abstract already concatenated) per line. A byte
-    that is not UTF-8 is a ParseError naming the file and line."""
-    docs = []
-    for line in Path(path).read_bytes().splitlines():  # splits as text mode does
-        try:
-            docs.append(tokenize(line.decode("utf-8")))
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: line {len(docs) + 1}: {exc}") from None
-    return docs
+def read_raw_docs(path) -> Tokens:
+    """The tokens (maximal a-z runs once Unicode-lowercased) of one document per line,
+    lines split as text mode splits them; a non-UTF-8 byte is a ParseError naming the line."""
+    lines = Path(path).read_bytes().splitlines()
+    try:
+        text = "\n".join([line.decode("utf-8") for line in lines])
+    except UnicodeDecodeError as exc:  # the first line equal to the bad one is the bad one
+        raise ParseError(f"{path}: line {lines.index(exc.object) + 1}: {exc}") from None
+    # '?' for each character that is not ASCII; the padding ends every run
+    buf = np.frombuffer(text.lower().encode("ascii", "replace") + bytes(8), np.uint8)
+    edges = np.flatnonzero(np.diff((buf >= 97) & (buf <= 122), prepend=False))
+    starts, sizes = edges[::2], edges[1::2] - edges[::2]
+    # Words are told apart by fixed-width keys, so memory stays within the token bytes: up to
+    # 8 letters the bytes zero-padded as a big-endian u64, past that one S{size} key per size.
+    short, long = np.flatnonzero(sizes <= 8), np.flatnonzero(sizes > 8)
+    eight = np.ndarray((buf.size - 7,), ">u8", buf, strides=(1,))  # the 8 bytes at each offset
+    shift = (64 - 8 * sizes[short]).astype(np.uint64)
+    groups = [(short, eight[starts[short]].astype(np.uint64) >> shift << shift)]
+    long = long[np.argsort(sizes[long], kind="stable")]
+    lengths, firsts = np.unique(sizes[long], return_index=True)
+    groups += [(group, buf[starts[group, None] + np.arange(size)].view(f"S{size}"))
+               for size, group in zip(lengths.tolist(), np.split(long, firsts[1:]))]
+    ids, words = np.empty(sizes.size, dtype=np.int64), []
+    for group, keys in groups:
+        uniq, inverse = np.unique(keys.ravel(), return_inverse=True)
+        ids[group] = len(words) + inverse.ravel()
+        uniq = uniq.astype(">u8").view("S8") if uniq.dtype == np.uint64 else uniq
+        words += [word.decode("ascii") for word in uniq.tolist()]
+    rank = np.argsort(np.array(words, dtype=object))
+    ends = np.searchsorted(starts, np.flatnonzero(buf == 10))  # the tokens before each break
+    docs = np.repeat(np.arange(ends.size + 1), np.diff(ends, prepend=0, append=starts.size))
+    return Tokens(docs, np.argsort(rank)[ids], [words[i] for i in rank], len(lines))
 
 
 # --------------------------------------------------------------------------
@@ -327,56 +344,45 @@ def load_citations(path, n_articles: int | None = None) -> np.ndarray:
 # matrix builders
 # --------------------------------------------------------------------------
 
-def select_vocabulary(raw_docs: list, stop_words, top_n: int) -> Vocabulary:
-    """Pick the top_n tokens by TF-IDF after stop-word removal.
+def select_vocabulary(tokens: Tokens, stop_words, top_n: int) -> Vocabulary:
+    """Pick the top_n words by TF-IDF after stop-word removal.
 
     Score is (max per-document count) * ln(n_docs / doc_freq); ties break
-    lexicographically. If fewer than top_n distinct tokens survive, all are
+    lexicographically. If fewer than top_n distinct words survive, all are
     returned with a warning.
     """
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
-    n_docs = len(raw_docs)
-    doc_freq = Counter()
-    max_tf = Counter()
-    for doc in raw_docs:
-        counts = Counter(tok for tok in doc if tok not in stop_words)
-        doc_freq.update(counts.keys())
-        for tok, count in counts.items():
-            if count > max_tf[tok]:
-                max_tf[tok] = count
-    if not doc_freq:
+    kept = ~np.array([word in stop_words for word in tokens.words], dtype=bool)[tokens.ids]
+    # one cell per (word, document), word-major; tf is the word's count there
+    cells, tf = np.unique(tokens.ids[kept] * tokens.n_docs + tokens.docs[kept], return_counts=True)
+    word = cells // max(tokens.n_docs, 1)
+    firsts = np.flatnonzero(np.diff(word, prepend=-1))
+    if not firsts.size:
         raise DataError("no candidate tokens after stop-word removal")
-    scored = [(max_tf[tok] * math.log(n_docs / doc_freq[tok]), tok) for tok in doc_freq]
-    scored.sort(key=lambda pair: (-pair[0], pair[1]))
-    if len(scored) < top_n:
-        warnings.warn(
-            f"requested {top_n} vocabulary tokens but only {len(scored)} are available"
-        )
-    chosen = scored[:top_n]
-    tokens = [tok for _, tok in chosen]
-    return Vocabulary(
-        tokens=tokens,
-        doc_freq=np.array([doc_freq[t] for t in tokens], dtype=np.int64),
-        max_tf=np.array([max_tf[t] for t in tokens], dtype=np.int64),
-        scores=np.array([s for s, _ in chosen], dtype=np.float64),
-    )
+    doc_freq, max_tf = np.diff(firsts, append=word.size), np.maximum.reduceat(tf, firsts)
+    freqs, inverse = np.unique(doc_freq, return_inverse=True)  # math.log, as np.log may round
+    scores = max_tf * np.array([math.log(tokens.n_docs / f) for f in freqs.tolist()])[inverse]
+    if firsts.size < top_n:
+        warnings.warn(f"requested {top_n} vocabulary tokens but only {firsts.size} are available")
+    chosen = np.argsort(-scores, kind="stable")[:top_n]  # words ascend, so ties do too
+    return Vocabulary([tokens.words[i] for i in word[firsts][chosen].tolist()],
+                      doc_freq[chosen], max_tf[chosen], scores[chosen])
 
 
-def build_bow(raw_docs: list, vocab: Vocabulary) -> ContentMatrix:
-    """Count vocabulary tokens per document and divide each row by its max.
+def build_bow(tokens: Tokens, vocab: Vocabulary) -> ContentMatrix:
+    """Count vocabulary words per document and divide each row by its max.
 
-    Out-of-vocabulary tokens are dropped; documents with no vocabulary tokens
+    Out-of-vocabulary words are dropped; documents with no vocabulary words
     become zero rows.
     """
-    if len(vocab) == 0:
+    if not vocab.tokens:
         raise ValueError("vocabulary is empty")
     index = {tok: i for i, tok in enumerate(vocab.tokens)}
-    rows = [[index[tok] for tok in doc if tok in index] for doc in raw_docs]
-    docs = np.repeat(np.arange(len(rows)), list(map(len, rows)))
-    cols = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=docs.size)
-    return ContentMatrix(_row_max_normalised(
-        _csr(docs, cols, (len(raw_docs), len(vocab)), np.ones(cols.size))))
+    cols = np.array([index.get(word, -1) for word in tokens.words], dtype=np.int64)[tokens.ids]
+    kept = cols >= 0
+    return ContentMatrix(_row_max_normalised(_csr(
+        tokens.docs[kept], cols[kept], (tokens.n_docs, len(vocab.tokens)), np.ones(kept.sum()))))
 
 
 def build_tag_matrix(assignments: list, citations: list, min_articles_per_tag: int,

@@ -10,7 +10,6 @@ are reproducible across runs and platforms.
 from __future__ import annotations
 
 import csv
-import ctypes
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -20,6 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 from scipy import sparse
 
+from . import blas
 from .corpus import InteractionMatrix
 from .errors import ConfigError, NumericalError
 
@@ -190,18 +190,6 @@ class MetricReport:
     n_users: int
 
 
-def _blas_threads():
-    """Threads of the OpenBLAS mapped into this process, by its own getter; None if none."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
-        getters = [getattr(ctypes.CDLL(path), name, None) for path in paths
-                   for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads")]
-    except OSError:
-        return None
-    return next((getter() for getter in getters if getter is not None), None)
-
-
 def evaluate(score_fn, r_train: InteractionMatrix, r_test: InteractionMatrix,
              ks, *, variant: str = "", setting: str = "", split: int = 0) -> list:
     """Average recall and nDCG over users with a nonempty test set.
@@ -233,7 +221,7 @@ def evaluate(score_fn, r_train: InteractionMatrix, r_test: InteractionMatrix,
 
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    workers = min(-(-users.size // step), cpus // (_blas_threads() or cpus))  # unread: 1
+    workers = min(-(-users.size // step), cpus // (blas.threads() or cpus))  # unread: 1
     if workers > 1:
         edges = -(-np.arange(1, workers) * users.size // (workers * step)) * step  # block edges
         with ThreadPoolExecutor(workers) as pool:

@@ -3,16 +3,21 @@
 These are the loop versions that ``attnrec.corpus`` replaced with numpy
 kernels: a tag builder that filters and propagates through Python sets
 article by article, a row-max normalisation over one ``Counter`` per row,
-and a line parser that splits each decoded line and reads its tokens with
-``int``. The tests require the numpy code to give exactly the same results
-on valid input.
+a line parser that splits each decoded line and reads its tokens with
+``int``, and a text path that decodes and tokenizes each line with a regex
+and scores the vocabulary over one ``Counter`` per document. The tests
+require the numpy code to give exactly the same results on valid input.
 """
 
+import math
+import re
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 from scipy import sparse
+
+from attnrec.errors import ParseError
 
 
 def build_tag_matrix(assignments, citations, min_articles_per_tag, n_articles, n_tags):
@@ -89,3 +94,46 @@ def lines(path, pairs=False):
             values.extend(map(int, fields))
         sizes.append(len(parts) - 1)
     return np.repeat(np.arange(len(sizes)), sizes), np.array(values, dtype=np.int64), sizes
+
+
+def tokenize(text: str) -> list:
+    """Lowercase and keep maximal a-z runs; digits and punctuation split."""
+    return re.findall("[a-z]+", text.lower())
+
+
+def read_raw_docs(path) -> list:
+    """One token list per line, each line decoded alone as UTF-8; lines split
+    as text mode splits them."""
+    docs = []
+    for line in Path(path).read_bytes().splitlines():
+        try:
+            docs.append(tokenize(line.decode("utf-8")))
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: line {len(docs) + 1}: {exc}") from None
+    return docs
+
+
+def select_vocabulary(docs, stop_words, top_n):
+    """(tokens, doc_freq, max_tf, scores) of the top_n tokens by
+    max_tf * ln(n_docs / doc_freq), ties in token order; None without any
+    candidate token."""
+    doc_freq, max_tf = Counter(), Counter()
+    for doc in docs:
+        counts = Counter(tok for tok in doc if tok not in stop_words)
+        doc_freq.update(counts.keys())
+        for tok, count in counts.items():
+            max_tf[tok] = max(max_tf[tok], count)
+    if not doc_freq:
+        return None
+    scored = sorted(((max_tf[tok] * math.log(len(docs) / doc_freq[tok]), tok)
+                     for tok in doc_freq), key=lambda pair: (-pair[0], pair[1]))[:top_n]
+    tokens = [tok for _, tok in scored]
+    return (tokens, [doc_freq[t] for t in tokens], [max_tf[t] for t in tokens],
+            [score for score, _ in scored])
+
+
+def build_bow(docs, tokens):
+    """Max-normalised counts of ``tokens`` per document."""
+    index = {tok: i for i, tok in enumerate(tokens)}
+    return row_max_normalised([[(index[tok], 1) for tok in doc if tok in index]
+                               for doc in docs], len(tokens))

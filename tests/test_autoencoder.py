@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import sparse
 
 import _pretrain_reference as reference
-from attnrec import nn, storage
+from attnrec import blas, nn, storage
 from attnrec.autoencoder import (AttentiveAutoencoder, load_autoencoder,
                                  pretrain, save_autoencoder)
 from attnrec.corpus import ContentMatrix
@@ -228,11 +233,46 @@ def test_pretrain_matches_the_plain_reference_bit_for_bit(monkeypatch, chunk):
     data = _toy_content(n_rows=3 * 128 + 1)
     ae, ref = (AttentiveAutoencoder(30, [12, 6], seed=15) for _ in range(2))
     history = pretrain(ae, data, epochs=3, batch_size=128, seed=2)
-    assert history == reference.pretrain(ref, data, epochs=3, batch_size=128, seed=2)
+    with blas.single_threaded():  # the thread count pretrain and encode run at
+        assert history == reference.pretrain(ref, data, epochs=3, batch_size=128, seed=2)
+        ref_latent = reference.encode(ref, data)
     assert _same_bits(ae.params, ref.params)
     tensors, ref_tensors = ae.named_tensors(), ref.named_tensors()
     assert all(_same_bits(tensors[name], ref_tensors[name]) for name in tensors)
-    assert _same_bits(ae.encode(data), reference.encode(ref, data))
+    assert _same_bits(ae.encode(data), ref_latent)
+
+
+_DIGESTS = """
+import hashlib
+import numpy as np
+from scipy import sparse
+from attnrec.autoencoder import AttentiveAutoencoder, pretrain
+x = sparse.random(130, 600, density=0.02, random_state=1, format="csr", dtype=np.float64)
+ae = AttentiveAutoencoder(600, [100, 50], seed=1)
+pretrain(ae, x, epochs=1, seed=1)
+print(hashlib.sha256(ae.params.tobytes() + ae.encode(x).tobytes()).hexdigest())
+"""
+
+
+def test_pretrain_and_encode_bits_do_not_depend_on_the_blas_thread_count():
+    # At this shape a two-thread OpenBLAS splits the products otherwise than a
+    # one-thread one does, so unpinned runs give other parameter bits.
+    src = str(Path(blas.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", _DIGESTS], env=env, capture_output=True,
+                              text=True, check=True, timeout=300)
+        digests.add(done.stdout.strip())
+    assert len(digests) == 1
+
+
+def test_blas_pin_restores_each_thread_count():
+    before = blas.threads()
+    with blas.single_threaded():
+        assert blas.threads() in (None, 1)
+    assert blas.threads() == before
 
 
 def test_nan_parameter_raises_numerical_error_at_the_first_loss():

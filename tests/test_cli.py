@@ -13,9 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import _corpus_reference as ref
 from attnrec import cli, corpus, evaluation, storage
 from attnrec.corpus import InteractionMatrix
-from attnrec.errors import NumericalError
+from attnrec.errors import NumericalError, ParseError
 
 COMMON = ["--variant", "cata++", "--p", "1", "--d", "6",
           "--text-widths", "24,6", "--tag-widths", "10,6",
@@ -697,6 +698,30 @@ def test_compare_across_article_universes_exits_2(workspace, capsys):
     assert not any(d.startswith("evaluate-") for d in os.listdir(runs))
 
 
+@pytest.mark.parametrize("variant, stat", [("wrmf", "n_users"), ("cata++", "vocab_size"),
+                                           ("cata++", "n_tags")])
+def test_an_edited_preprocess_stat_exits_2_naming_the_manifest(workspace, capsys, variant, stat):
+    # A hit prints the manifest's stats, so each must be the count its cache
+    # header holds: a changed value, a float of the same value and a missing
+    # stat are all refused.
+    data, runs = workspace
+    argv = _args("preprocess", data, runs, "--variant", variant)
+    assert cli.main(argv) == 0
+    first = capsys.readouterr().out
+    path = _single_run_dir(runs, "preprocess-") / "manifest.json"
+    text = path.read_text()
+    manifest = json.loads(text)
+    stats = manifest["stats"]
+    for edited in ({**stats, stat: 999}, {**stats, stat: float(stats[stat])},
+                   {name: value for name, value in stats.items() if name != stat}):
+        path.write_text(json.dumps({**manifest, "stats": edited}, indent=2, sort_keys=True))
+        err = _refused(capsys, argv, path)
+        assert "stats" in err and "cache headers" in err
+    path.write_text(text)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == first
+
+
 def test_preprocess_hit_makes_no_corpus_call(workspace, capsys, monkeypatch):
     data, runs = workspace
     calls = []
@@ -746,7 +771,7 @@ def test_nan_scores_in_a_worker_block_exit_3(workspace, capsys, monkeypatch):
         assert cli.main(_args(command, data, runs, *extra)) == 0
     # blocks of 5 users on a pool of 4, on any host
     monkeypatch.setattr(evaluation, "BLOCK_SCORES", 5 * (60 + 4 * 10))
-    monkeypatch.setattr(evaluation, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(evaluation.blas, "threads", lambda: 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     real, callers = cli.cf.predict_scores, []
 
@@ -1042,6 +1067,24 @@ def test_a_byte_that_is_not_utf8_exits_2_naming_its_line(workspace, capsys, name
     assert not list(runs.glob("preprocess-*"))
 
 
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
+def test_a_utf8_sequence_cut_at_a_line_end_exits_2_naming_its_line(workspace, capsys, end):
+    # Decoded alone, the line ends inside the sequence: "unexpected end of
+    # data". Decoded with the rest of the file, the break after it would be a
+    # bad continuation byte instead.
+    data, runs = workspace
+    path = data / "docs.txt"
+    lines = path.read_bytes().splitlines()
+    path.write_bytes(end.join(lines[:3] + [b"cut \xe2\x82"] + lines[3:]) + end)
+    err = _refused(capsys, _args("preprocess", data, runs), path)
+    with pytest.raises(ParseError) as want:
+        ref.read_raw_docs(path)
+    assert f"{want.value}\n" in err
+    assert (f"{path}: line 4: 'utf-8' codec can't decode bytes in position 4-5: "
+            "unexpected end of data") in err
+    assert not list(runs.glob("preprocess-*"))
+
+
 @pytest.mark.parametrize("name", ["tags.dat", "citations.dat"])
 @pytest.mark.parametrize("line, message", [
     (b"\n", "empty line"),
@@ -1147,8 +1190,9 @@ def test_mult_content_runs_end_to_end_whatever_ends_its_lines(workspace, tmp_pat
     # The synth docs as mult.dat against the vocabulary preprocess picks from
     # them, with every input file's lines ended by LF, CRLF or CR.
     data, _ = workspace
-    docs = corpus.read_raw_docs(data / "docs.txt")
-    vocab = corpus.select_vocabulary(docs, corpus.load_stop_words(), 60)
+    docs = ref.read_raw_docs(data / "docs.txt")
+    vocab = corpus.select_vocabulary(corpus.read_raw_docs(data / "docs.txt"),
+                                     corpus.load_stop_words(), 60)
     index = {tok: i for i, tok in enumerate(vocab.tokens)}
     texts = {"mult.dat": []}
     for doc in docs:

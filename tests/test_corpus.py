@@ -1,6 +1,7 @@
 import math
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -12,11 +13,22 @@ from attnrec import corpus
 from attnrec.errors import BoundsError, DataError, ParseError
 
 
-def test_tokenize_lowercase_letter_runs():
-    assert corpus.tokenize("Deep-Learning42 models, the CAT!") == [
-        "deep", "learning", "models", "the", "cat"]
-    assert corpus.tokenize("") == []
-    assert corpus.tokenize("123 456") == []
+def _tokens(docs) -> corpus.Tokens:
+    """The corpus.Tokens of per-document token lists."""
+    words = sorted({tok for doc in docs for tok in doc})
+    index = {word: i for i, word in enumerate(words)}
+    return corpus.Tokens(np.repeat(np.arange(len(docs)), [len(doc) for doc in docs]),
+                         np.array([index[tok] for doc in docs for tok in doc], dtype=np.int64),
+                         words, len(docs))
+
+
+def test_tokenize_lowercase_letter_runs(tmp_path):
+    path = tmp_path / "docs.txt"
+    path.write_text("Deep-Learning42 models, the CAT!\n\n123 456")
+    tokens = corpus.read_raw_docs(path)
+    assert [tokens.words[i] for i in tokens.ids] == ["deep", "learning", "models", "the", "cat"]
+    assert tokens.docs.tolist() == [0] * 5 and tokens.n_docs == 3
+    assert tokens.words == ["cat", "deep", "learning", "models", "the"]
 
 
 def test_stop_words_loaded():
@@ -28,8 +40,8 @@ def test_stop_words_loaded():
 def test_select_vocabulary_hand_oracle():
     # df(apple)=2, max_tf(apple)=2 -> score 2*ln(3/2); cherry identical;
     # banana scores 1*ln(3/2); 'the' is a stop word.
-    docs = [corpus.tokenize(s) for s in
-            ["apple banana apple", "banana cherry", "apple cherry cherry the"]]
+    docs = _tokens([ref.tokenize(s) for s in
+                    ["apple banana apple", "banana cherry", "apple cherry cherry the"]])
     vocab = corpus.select_vocabulary(docs, corpus.load_stop_words(), 2)
     assert vocab.tokens == ["apple", "cherry"]
     expected = 2.0 * math.log(3.0 / 2.0)
@@ -39,21 +51,21 @@ def test_select_vocabulary_hand_oracle():
 
 
 def test_select_vocabulary_tie_breaks_lexicographic():
-    docs = [["zebra", "apple"], ["zebra", "apple"]]
+    docs = _tokens([["zebra", "apple"], ["zebra", "apple"]])
     vocab = corpus.select_vocabulary(docs, frozenset(), 1)
     assert vocab.tokens == ["apple"]
 
 
 def test_select_vocabulary_fewer_tokens_than_requested_warns():
-    docs = [["alpha"], ["beta"]]
+    docs = _tokens([["alpha"], ["beta"]])
     with pytest.warns(UserWarning):
         vocab = corpus.select_vocabulary(docs, frozenset(), 10)
     assert sorted(vocab.tokens) == ["alpha", "beta"]
 
 
 def test_build_bow_row_max_normalized():
-    docs = [corpus.tokenize(s) for s in
-            ["apple banana apple", "banana cherry", "apple cherry cherry the"]]
+    docs = _tokens([ref.tokenize(s) for s in
+                    ["apple banana apple", "banana cherry", "apple cherry cherry the"]])
     vocab = corpus.select_vocabulary(docs, corpus.load_stop_words(), 2)
     bow = corpus.build_bow(docs, vocab)
     assert np.array_equal(bow.matrix.toarray(),
@@ -61,13 +73,13 @@ def test_build_bow_row_max_normalized():
 
 
 def test_build_bow_all_oov_row_is_empty():
-    vocab = corpus.select_vocabulary([["kept"], ["kept"]], frozenset(), 1)
-    bow = corpus.build_bow([["kept"], ["dropped", "words"]], vocab)
+    vocab = corpus.select_vocabulary(_tokens([["kept"], ["kept"]]), frozenset(), 1)
+    bow = corpus.build_bow(_tokens([["kept"], ["dropped", "words"]]), vocab)
     assert bow.matrix[1].nnz == 0
 
 
 def test_vocabulary_roundtrip(tmp_path):
-    docs = [["apple", "banana"], ["apple", "cherry", "cherry"]]
+    docs = _tokens([["apple", "banana"], ["apple", "cherry", "cherry"]])
     vocab = corpus.select_vocabulary(docs, frozenset(), 3)
     path = tmp_path / "vocab.tsv"
     vocab.save(path)
@@ -285,11 +297,50 @@ def test_tag_matrix_equals_the_set_based_builder(data):
 @given(st.lists(st.lists(st.sampled_from("abcdefg"), max_size=12), min_size=1, max_size=8),
        st.integers(1, 7))
 def test_bow_equals_the_counter_based_normalisation(docs, top_n):
-    vocab = corpus.select_vocabulary(docs + [list("abcdefg")], frozenset(), top_n)
+    vocab = corpus.select_vocabulary(_tokens(docs + [list("abcdefg")]), frozenset(), top_n)
     index = {tok: i for i, tok in enumerate(vocab.tokens)}
     want = ref.row_max_normalised(
         [[(index[tok], 1) for tok in doc if tok in index] for doc in docs], top_n)
-    _same_csr(corpus.build_bow(docs, vocab).matrix, want)
+    _same_csr(corpus.build_bow(_tokens(docs), vocab).matrix, want)
+
+
+# Pieces of docs.txt: the case mappings that reach a-z (the Kelvin sign
+# lowers to k, a dotted capital I to i and a combining dot), the breaks that
+# end a line (LF, CRLF, a lone CR) and ones that do not (U+0085, VT, FF),
+# other letters, stop words, and words longer than the 8 letters of one u64.
+_TEXT = st.lists(st.one_of(
+    st.sampled_from(["\n", "\r\n", "\r", "\x85", "\x0b", "\x0c", " ", "\u212a", "\u0130",
+                     "Straße", "ΣΑΣ", "é", "42", "-", "the", "of", "EIGHTISH", "nineteens",
+                     "recommendation", "Recommendations"]),
+    st.text(st.sampled_from("abkzKZ\u212a\u0130 \n\r"), max_size=10)), max_size=40).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TEXT, st.integers(1, 6))
+def test_text_caches_equal_the_regex_and_counter_path(tmp_path_factory, text, top_n):
+    folder = tmp_path_factory.mktemp("text")
+    (folder / "docs.txt").write_bytes(text.encode("utf-8"))
+    docs = ref.read_raw_docs(folder / "docs.txt")
+    tokens = corpus.read_raw_docs(folder / "docs.txt")
+    assert tokens.n_docs == len(docs)
+    assert [[tokens.words[i] for i in tokens.ids[tokens.docs == d]] for d in range(len(docs))] \
+        == docs
+    stop = corpus.load_stop_words()
+    want = ref.select_vocabulary(docs, stop, top_n)
+    if want is None:
+        with pytest.raises(DataError, match="no candidate tokens"):
+            corpus.select_vocabulary(tokens, stop, top_n)
+        return
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        vocab = corpus.select_vocabulary(tokens, stop, top_n)
+    assert len(caught) == (len(want[0]) < top_n)
+    vocab.save(folder / "vocab.tsv")
+    corpus.build_bow(tokens, vocab).save(folder / "content.bin")
+    corpus.Vocabulary(want[0], *map(np.array, want[1:])).save(folder / "want.tsv")
+    corpus.ContentMatrix(ref.build_bow(docs, want[0])).save(folder / "want.bin")
+    for got, expected in (("vocab.tsv", "want.tsv"), ("content.bin", "want.bin")):
+        assert (folder / got).read_bytes() == (folder / expected).read_bytes(), got
 
 
 @settings(max_examples=100, deadline=None)

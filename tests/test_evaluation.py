@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import _eval_reference as ref
-from attnrec import cf, cli
+from attnrec import blas, cf, cli
 from attnrec import evaluation as ev
 from attnrec.corpus import InteractionMatrix
 from attnrec.errors import ConfigError, NumericalError
@@ -480,7 +480,7 @@ def test_evaluate_in_blocks_equals_reference(monkeypatch, variant):
 def _pool(monkeypatch, cpus, blas_threads=1):
     """Make evaluate see ``cpus`` CPUs and an OpenBLAS of ``blas_threads``
     threads on any host; returns the worker counts of the pools it starts."""
-    monkeypatch.setattr(ev, "_blas_threads", lambda: blas_threads)
+    monkeypatch.setattr(blas, "threads", lambda: blas_threads)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     pools = []
 
@@ -567,8 +567,8 @@ def test_blas_thread_reader_falls_back_without_a_mapped_openblas(monkeypatch):
 
     for fake in (lambda *a, **kw: io.StringIO("7f00-7f01 r-xp 0 08:01 1 /usr/lib/libc.so.6\n"),
                  no_proc):
-        monkeypatch.setattr(ev, "open", fake, raising=False)
-        assert ev._blas_threads() is None
+        monkeypatch.setattr(blas, "open", fake, raising=False)
+        assert blas.threads() is None
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -579,7 +579,7 @@ def test_blas_thread_reader_reads_the_loaded_openblas(threads):
     src = str(Path(ev.__file__).resolve().parents[1])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "from attnrec import evaluation; print(evaluation._blas_threads())"
+    code = "from attnrec import evaluation; print(evaluation.blas.threads())"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
     assert done.stdout.strip() == str(threads)

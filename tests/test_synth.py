@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import _synth_reference as synth_ref
+from _corpus_reference import tokenize
 from attnrec import cli, corpus, synth
-from attnrec.corpus import tokenize
 from attnrec.errors import ConfigError
 
 SMALL = dict(n_users=30, n_articles=48, n_clusters=4, min_library=4,
