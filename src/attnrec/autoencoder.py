@@ -110,8 +110,8 @@ def _csr(rows, width: int, dtype) -> sparse.csr_matrix:
 
 
 def _batch_slices(n: int, batch_size: int):
-    """Contiguous batch bounds; a trailing singleton merges into its neighbor
-    because batch normalization cannot standardize a single row."""
+    """Contiguous batch bounds; a trailing singleton merges into its neighbor: batch
+    normalization cannot standardize one row, and one scored user is a GEMV of other bits."""
     bounds = list(range(0, n, batch_size)) + [n]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
         bounds.pop(-2)

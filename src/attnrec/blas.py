@@ -1,14 +1,18 @@
 """OpenBLAS thread counts, read and set through each mapped OpenBLAS's own functions."""
 
 import ctypes
+import functools
 import logging
 from contextlib import contextmanager
+
+import scipy.linalg  # noqa: F401  maps scipy's own OpenBLAS before the lookup below is cached
 
 logger = logging.getLogger(__name__)
 _NAMES = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",  # wheels
           "openblas_{}_num_threads64_", "openblas_{}_num_threads")
 
 
+@functools.cache  # once per process: reading the maps costs about 0.5 ms
 def _libraries() -> list:
     """The (get, set) thread-count functions of each mapped OpenBLAS, by path."""
     try:

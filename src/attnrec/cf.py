@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from . import storage
+from . import blas, storage
 from .corpus import InteractionMatrix
 from .errors import ConfigError, DataError, NumericalError
 
@@ -155,6 +155,7 @@ def _solve_rows(select, fixed, gram, observed, lam, prior, a, b, out) -> np.ndar
     return out
 
 
+@blas.single_threaded()  # so the factors' and the trace's bits do not depend on BLAS threads
 def train_als(r: InteractionMatrix, model: FactorModel, prior: np.ndarray,
               max_sweeps: int = 50, tol: float = 1e-4) -> list:
     """Alternate exact user and article solves until the objective stalls.

@@ -164,8 +164,11 @@ def _digest12(payload: dict) -> str:
 
 
 def _sha256_file(path) -> str:
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        for chunk in iter(lambda: fh.read(1 << 20), b""):  # 1 MiB at a time
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _write_json(path, obj, indent=2):

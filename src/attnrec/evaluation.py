@@ -20,10 +20,12 @@ import numpy as np
 from scipy import sparse
 
 from . import blas
+from .autoencoder import _batch_slices
 from .corpus import InteractionMatrix
 from .errors import ConfigError, NumericalError
 
 BLOCK_SCORES = 1 << 18  # values per block of users: 2 MB of f64, about 4 MB per worker
+MIN_BLOCK = 32  # users per block at least: BLAS packs V once per block, so fewer rows repack more
 
 
 def make_split(r: InteractionMatrix, p: int, rng: np.random.Generator):
@@ -103,14 +105,15 @@ def _rank(s, k, indptr, indices, order=None) -> np.ndarray:
     part[ex_rows, indices] = np.inf
     part.partition(kk - 1, axis=1)
     kth = -part[:, kk - 1, None]  # the kk-th largest candidate score of each row
-    need = kk - np.count_nonzero(part[:, :kk] < part[:, kk - 1, None], axis=1)
-    take, tie = s > kth, s == kth
-    take[ex_rows, indices] = tie[ex_rows, indices] = False
-    straddle = np.flatnonzero(np.count_nonzero(tie, axis=1) > need)  # keep lowest tied ids
-    tie[straddle] &= np.cumsum(tie[straddle], axis=1) <= need[straddle, None]
-    # Ids ascend within each packed row, so a stable row sort keeps ties
-    # toward the lower id; padding sorts last, after any real -inf score.
-    picks = _pack(*np.divmod(np.flatnonzero(take | tie), m), n_rows, kk)
+    need = kk - np.count_nonzero(part[:, :kk] < part[:, kk - 1, None], axis=1)  # ties to keep
+    # One row-major pass over the candidates, so ids ascend within a row, which keeps its lowest
+    # ``need`` ties; a stable row sort keeps ties toward the lower id, padding after any -inf.
+    cand = s >= kth
+    cand[ex_rows, indices] = False
+    rows = (cells := np.flatnonzero(cand)) // m
+    tied = np.flatnonzero(s.take(cells) == kth.take(rows))
+    drop = tied[np.arange(tied.size) - np.searchsorted(rows[tied], rows[tied]) >= need[rows[tied]]]
+    picks = _pack(*np.divmod(np.delete(cells, drop), m), n_rows, kk)
     keys = np.where(picks < 0, np.inf, np.negative(s[np.arange(n_rows)[:, None], picks]))
     return np.take_along_axis(picks, np.argsort(keys, axis=1, kind="stable"), axis=1)
 
@@ -197,37 +200,32 @@ def evaluate(score_fn, r_train: InteractionMatrix, r_test: InteractionMatrix,
     ``score_fn(users)`` takes an index array of users and returns their
     article scores: a (len(users), n_articles) block, or one (n_articles,)
     row, sorted once, when the scores do not depend on the user. Users are
-    ranked in blocks of about BLOCK_SCORES values, training articles
-    excluded, one run of blocks per thread of min(blocks, CPUs // BLAS threads).
+    ranked in blocks of about BLOCK_SCORES values but at least MIN_BLOCK users,
+    training articles excluded, on min(blocks, CPUs // BLAS threads) threads.
     """
     ks = sorted(int(k) for k in ks)
     users = np.flatnonzero(np.diff(r_test.matrix.indptr))
     if users.size == 0:
         raise ConfigError("no user has held-out articles to evaluate")
     # a user takes n_articles scores and about four K-wide arrays to rank
-    step = max(1, BLOCK_SCORES // (r_test.n_articles + 4 * min(ks[-1], r_test.n_articles)))
+    step = max(MIN_BLOCK, BLOCK_SCORES // (r_test.n_articles + 4 * min(ks[-1], r_test.n_articles)))
+    blocks = [users[lo:hi] for lo, hi in _batch_slices(users.size, step)]
     probe = score_fn(users[:1])  # a shared row is sorted once, before the blocks start
     order = np.argsort(-np.asarray(probe, float), kind="stable") if np.ndim(probe) == 1 else None
 
-    def rank(part):  # one loop per run of blocks, so scores outlive the next block's GEMM
-        out = []
-        for start in range(0, part.size, step):
-            block = part[start:start + step]
-            scores = score_fn(block)
-            ranked = top_k(scores, ks[-1], exclude=_cut(r_train.matrix, block), order=order)
-            held = _cut(r_test.matrix, block)
-            out.append(np.stack([recall_at_k(ranked, held, ks), ndcg_at_k(ranked, held, ks)], 1))
-        return np.concatenate(out)
+    def rank(block):
+        ranked = top_k(score_fn(block), ks[-1], exclude=_cut(r_train.matrix, block), order=order)
+        held = _cut(r_test.matrix, block)
+        return np.stack([recall_at_k(ranked, held, ks), ndcg_at_k(ranked, held, ks)], 1)
 
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    workers = min(-(-users.size // step), cpus // (blas.threads() or cpus))  # unread: 1
+    workers = min(len(blocks), cpus // (blas.threads() or cpus))  # unread: 1
     if workers > 1:
-        edges = -(-np.arange(1, workers) * users.size // (workers * step)) * step  # block edges
         with ThreadPoolExecutor(workers) as pool:
-            values = np.concatenate(list(pool.map(rank, np.split(users, edges))))
+            values = np.concatenate(list(pool.map(rank, blocks)))
     else:
-        values = rank(users)
+        values = np.concatenate([rank(block) for block in blocks])
     sums = np.cumsum(values, axis=0)[-1] / users.size  # summed in user order
     return [MetricReport(variant, setting, split, k, float(sums[0, j]),
                          float(sums[1, j]), int(users.size))

@@ -83,18 +83,12 @@ def flatten(layers):
 
 
 class Layer:
-    """Common layer surface: forward caches what backward needs. ``trained``
-    names the tensors an optimizer updates, each with gradient ``"d" + name``;
+    """Base of the layers, whose forward(x, training) caches what backward(dout) needs.
+    ``trained`` names the tensors an optimizer updates, each with gradient ``"d" + name``;
     ``state`` names the other tensors a checkpoint keeps."""
 
     trained = ()
     state = ()
-
-    def forward(self, x, training):
-        raise NotImplementedError
-
-    def backward(self, dout):
-        raise NotImplementedError
 
     def _require_cache(self, cache):
         if cache is None:

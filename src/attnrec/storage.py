@@ -1,9 +1,10 @@
 """Binary cache and checkpoint formats.
 
 All integers are little-endian. Every file starts with 4 magic bytes and
-a version byte. Readers map a file copy-on-write rather than copy it: the
-CSR readers return arrays of their own, and ``read_tensors`` returns views
-of the mapping. The three matrix caches are CSR, and column indices rise
+a version byte. Writers stream a file to ``<path>.partial`` and rename it
+into place. Readers map a file copy-on-write rather than copy it: the CSR
+readers return arrays of their own, and ``read_tensors`` returns views of
+the mapping. The three matrix caches are CSR, and column indices rise
 strictly within each row:
 
 content cache (magic ``RXCM``, version 1)
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import json
 import mmap
+import os
 from pathlib import Path
 
 import numpy as np
@@ -53,12 +55,14 @@ class _Reader:
     """Cursor over a file mapped copy-on-write, past its checked magic and
     version, with typed reads that are views of the mapping: pages are read
     in as a read touches them, and a write to a view changes neither the
-    file nor other readers."""
+    file nor other readers. A ``head`` reads only the first head bytes, unmapped."""
 
-    def __init__(self, path, magic: bytes):
+    def __init__(self, path, magic: bytes, head: int = 0):
         try:
             with open(path, "rb") as fh:
-                self.data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+                self.size = os.fstat(fh.fileno()).st_size
+                self.data = (fh.read(head) if head
+                             else mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY))
         except OSError as exc:
             raise DataError(f"{path}: cannot read: {exc.strerror}") from None
         except ValueError:  # an empty file cannot be mapped
@@ -85,32 +89,34 @@ class _Reader:
 
     def finish(self):
         """Refuse bytes left over after the last record."""
-        if self.pos != len(self.data):
-            raise DataError(f"{self.path}: {len(self.data) - self.pos} trailing bytes")
+        if self.pos != self.size:
+            raise DataError(f"{self.path}: {self.size - self.pos} trailing bytes")
+
+
+def _write(path, parts):
+    """Write each ``(values, dtype)`` of ``parts``, converted in turn, to ``<path>.partial``
+    and rename that over ``path``, so an old file that a reader maps is never truncated."""
+    with open(f"{path}.partial", "wb") as fh:
+        for values, dtype in parts:
+            fh.write(np.ascontiguousarray(values, dtype=dtype))
+    os.replace(f"{path}.partial", path)
 
 
 def _write_csr(path, magic: bytes, matrix: sparse.csr_matrix, with_values: bool):
     matrix = matrix.tocsr()
     matrix.sort_indices()
-    parts = [
-        magic + bytes([_VERSIONS[magic]]),
-        np.array(matrix.shape, dtype=_U32).tobytes(),
-        np.array([matrix.nnz], dtype=_U64).tobytes(),
-        matrix.indptr.astype(_U64).tobytes(),
-        matrix.indices.astype(_U32).tobytes(),
-    ]
-    if with_values:
-        parts.append(matrix.data.astype(_F64).tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    _write(path, [(list(magic) + [_VERSIONS[magic]], _U8), (matrix.shape, _U32),
+                  ([matrix.nnz], _U64), (matrix.indptr, _U64), (matrix.indices, _U32),
+                  *[(matrix.data, _F64)] * with_values])
 
 
-def _csr_header(path, magic: bytes, with_values: bool) -> tuple:
-    """A reader past the header of a CSR cache, and the header's n_rows,
+def _csr_header(path, magic: bytes, with_values: bool, mapped: bool = False) -> tuple:
+    """A reader past the header of a CSR cache (unmapped unless ``mapped``) and its n_rows,
     n_cols and nnz; refused unless the file's length is the one they give."""
-    reader = _Reader(path, magic)
+    reader = _Reader(path, magic, 0 if mapped else 21)
     n_rows, n_cols = reader.take(_U32, 2).tolist()
     nnz = reader.scalar(_U64)
-    extra = len(reader.data) - reader.pos - 8 * (n_rows + 1) - (12 if with_values else 4) * nnz
+    extra = reader.size - reader.pos - 8 * (n_rows + 1) - (12 if with_values else 4) * nnz
     if extra:
         raise DataError(f"{path}: " + ("truncated cache file" if extra < 0
                                        else f"{extra} trailing bytes"))
@@ -118,7 +124,7 @@ def _csr_header(path, magic: bytes, with_values: bool) -> tuple:
 
 
 def _read_csr(path, magic: bytes, with_values: bool) -> sparse.csr_matrix:
-    reader, n_rows, n_cols, nnz = _csr_header(path, magic, with_values)
+    reader, n_rows, n_cols, nnz = _csr_header(path, magic, with_values, mapped=True)
     indptr = reader.take(_U64, n_rows + 1).astype(np.int64)
     indices = reader.take(_U32, nnz)
     data = reader.take(_F64, nnz).astype(np.float64) if with_values else np.ones(nnz)
@@ -173,22 +179,16 @@ def write_tensors(path, tensors: dict, meta: dict | None = None):
     Payloads are stored as 32-bit floats; callers lose precision beyond f32.
     """
     meta_bytes = json.dumps(meta or {}, sort_keys=True).encode("utf-8")
-    parts = [
-        MAGIC_TENSORS + bytes([_VERSIONS[MAGIC_TENSORS]]),
-        np.array([len(meta_bytes)], dtype=_U32).tobytes(),
-        meta_bytes,
-        np.array([len(tensors)], dtype=_U32).tobytes(),
-    ]
-    # Sorted by name so identical contents always produce identical bytes.
-    for name in sorted(tensors):
-        array = np.asarray(tensors[name], dtype=np.float64)
-        name_bytes = name.encode("utf-8")
-        parts.append(np.array([len(name_bytes)], dtype=_U16).tobytes())
-        parts.append(name_bytes)
-        parts.append(np.array([array.ndim], dtype=_U8).tobytes())
-        parts.append(np.array(array.shape, dtype=_U32).tobytes())
-        parts.append(np.ascontiguousarray(array, dtype=_F32).tobytes())
-    Path(path).write_bytes(b"".join(parts))
+
+    def parts():  # one tensor's f32 copy at a time, by name so equal contents give equal bytes
+        yield from [(list(MAGIC_TENSORS) + [_VERSIONS[MAGIC_TENSORS]], _U8),
+                    ([len(meta_bytes)], _U32), (list(meta_bytes), _U8), ([len(tensors)], _U32)]
+        for name in sorted(tensors):
+            array, name_bytes = np.asarray(tensors[name]), name.encode("utf-8")
+            yield from [([len(name_bytes)], _U16), (list(name_bytes), _U8),
+                        ([array.ndim], _U8), (array.shape, _U32), (array, _F32)]
+
+    _write(path, parts())
 
 
 def read_tensors(path):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -363,3 +368,32 @@ def test_loaded_factors_score_as_their_f64_copies(tmp_path):
     block = np.array([6, 0, 3])
     assert np.array_equal(cf.predict_scores(loaded, block), f64.U[block] @ f64.V.T)
     assert np.array_equal(cf.predict_scores(loaded, 2), f64.U[2] @ f64.V.T)
+
+
+_ALS_BITS = """
+import hashlib
+import json
+import numpy as np
+from scipy import sparse
+from attnrec import cf
+from attnrec.corpus import InteractionMatrix
+cells = sparse.random(600, 400, density=0.03, random_state=1, format="coo")
+r = InteractionMatrix.from_pairs(cells.row, cells.col, 600, 400)
+model = cf.init_model(600, 400, 25, lambda_u=0.1, lambda_v=0.1, seed=1)
+trace = cf.train_als(r, model, np.zeros_like(model.V), max_sweeps=2)
+print(hashlib.sha256(model.U.tobytes() + model.V.tobytes()).hexdigest(), json.dumps(trace))
+"""
+
+
+def test_als_bits_do_not_depend_on_the_blas_thread_count():
+    # At this shape a two-thread OpenBLAS sums the objective's products in
+    # another order, so an unpinned train_als traces other last bits.
+    src = str(Path(cf.__file__).resolve().parents[1])
+    outputs = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", _ALS_BITS], env=env, capture_output=True,
+                              text=True, check=True, timeout=300)
+        outputs.add(done.stdout)
+    assert len(outputs) == 1

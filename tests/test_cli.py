@@ -771,6 +771,7 @@ def test_nan_scores_in_a_worker_block_exit_3(workspace, capsys, monkeypatch):
         assert cli.main(_args(command, data, runs, *extra)) == 0
     # blocks of 5 users on a pool of 4, on any host
     monkeypatch.setattr(evaluation, "BLOCK_SCORES", 5 * (60 + 4 * 10))
+    monkeypatch.setattr(evaluation, "MIN_BLOCK", 1)
     monkeypatch.setattr(evaluation.blas, "threads", lambda: 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     real, callers = cli.cf.predict_scores, []

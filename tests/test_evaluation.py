@@ -8,6 +8,7 @@ import sys
 import threading
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -292,6 +293,29 @@ def test_top_k_block_rows_equal_one_row_calls(data):
             assert got[i].tolist() == want + [-1] * (got.shape[1] - len(want))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_top_k_blocks_of_32_rows_and_more_equal_reference(data):
+    # Rows as many as evaluate's blocks hold, of few values, so that ties
+    # straddle each row's kth; -inf scores; k past some rows' candidates, so
+    # that rows pad; and exclusions unsorted and repeated within a row.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n, m = data.draw(st.integers(32, 40)), data.draw(st.integers(1, 60))
+    k = data.draw(st.integers(1, m + 3))
+    values = np.array([-np.inf, -1.0, 0.0, 1.0, 2.0])
+    block = rng.choice(values, size=(n, m), p=rng.dirichlet(np.ones(values.size)))
+    excluded = [rng.integers(0, m, size=rng.integers(0, m + 3)) for _ in range(n)]
+    exclude = SimpleNamespace(indptr=np.cumsum([0] + [e.size for e in excluded]),
+                              indices=np.concatenate(excluded))
+    for scores in (block, block[0]):       # a block, and one row shared by all
+        got = ev.top_k(scores, k, exclude=exclude)
+        assert got.shape == (n, min(k, m))
+        for i in range(n):
+            row = scores if scores.ndim == 1 else scores[i]
+            want = ref.top_k(row, k, exclude=excluded[i]).tolist()
+            assert got[i].tolist() == want + [-1] * (got.shape[1] - len(want))
+
+
 def test_top_k_refuses_nan_scores():
     with pytest.raises(NumericalError, match="NaN"):
         ev.top_k(np.array([1.0, np.nan, 0.0]), 2)
@@ -316,6 +340,7 @@ def test_block_metrics_equal_single_list_metrics():
 @pytest.mark.parametrize("block_scores", [1, 50, 1 << 18])
 def test_evaluate_equals_per_user_reference(monkeypatch, block_scores):
     monkeypatch.setattr(ev, "BLOCK_SCORES", block_scores)
+    monkeypatch.setattr(ev, "MIN_BLOCK", 1)
     rng = np.random.default_rng(9)
     n_users, n_articles = 30, 25
     cells = rng.random((n_users, n_articles))
@@ -418,6 +443,7 @@ def test_evaluate_wrmf_with_cold_articles_equals_reference(monkeypatch, block_sc
     # At P = 1 most articles have no training save, so ALS gives them all one
     # shared factor row and each user's scores are mostly one tied value.
     monkeypatch.setattr(ev, "BLOCK_SCORES", block_scores)
+    monkeypatch.setattr(ev, "MIN_BLOCK", 1)
     rng = np.random.default_rng(12)
     r = _random_matrix(rng, 30, 80, 0.08)
     train, test = ev.make_split(r, 1, np.random.default_rng(1))
@@ -433,6 +459,7 @@ def test_evaluate_wrmf_with_cold_articles_equals_reference(monkeypatch, block_sc
 
 def test_evaluate_computes_each_metric_once_per_block(monkeypatch):
     monkeypatch.setattr(ev, "BLOCK_SCORES", 200)
+    monkeypatch.setattr(ev, "MIN_BLOCK", 1)
     rng = np.random.default_rng(13)
     r = _random_matrix(rng, 30, 25, 0.3)
     train, test = ev.make_split(r, 2, np.random.default_rng(1))
@@ -453,6 +480,7 @@ def test_evaluate_computes_each_metric_once_per_block(monkeypatch):
 def test_evaluate_in_blocks_equals_reference(monkeypatch, variant):
     # Blocks of 7 users over 26 evaluated users: the last block is shorter.
     monkeypatch.setattr(ev, "BLOCK_SCORES", 7 * (80 + 4 * 10))
+    monkeypatch.setattr(ev, "MIN_BLOCK", 1)
     rng = np.random.default_rng(14)
     r = _random_matrix(rng, 30, 80, 0.08)
     train, test = ev.make_split(r, 1, np.random.default_rng(2))
@@ -475,6 +503,31 @@ def test_evaluate_in_blocks_equals_reference(monkeypatch, variant):
         assert orders == [None] * len(sizes)
     else:  # the shared row is sorted once for every block
         assert orders[0] is not None and all(o is orders[0] for o in orders)
+
+
+def test_evaluate_reports_equal_across_block_layouts(monkeypatch):
+    # A real wrmf scorer over an F-order V, as cmd_evaluate gives it: blocks of
+    # the old 14-row rule, of the 32-row floor, and of a height that would
+    # leave one user last all report the same bits, and no block holds one user.
+    rng = np.random.default_rng(21)
+    r = _random_matrix(rng, 90, 150, 0.06)
+    train, test = ev.make_split(r, 1, np.random.default_rng(3))
+    users = np.flatnonzero(np.diff(test.matrix.indptr))
+    model = cf.init_model(90, 150, 6, lambda_u=0.1, lambda_v=0.1, seed=4)
+    cf.train_als(train, model, np.zeros_like(model.V), max_sweeps=2)
+    model.V = np.asfortranarray(model.V)
+    lone = next(h for h in range(2, users.size) if users.size % h == 1)
+    sizes, real = [], ev.top_k
+    monkeypatch.setattr(ev, "top_k", lambda s, k, **kw: sizes.append(len(s)) or real(s, k, **kw))
+    reports = []
+    for floor, block_scores in ((1, 14 * (150 + 4 * 20)), (32, 1), (lone, 1)):
+        monkeypatch.setattr(ev, "MIN_BLOCK", floor)
+        monkeypatch.setattr(ev, "BLOCK_SCORES", block_scores)
+        sizes.clear()
+        reports.append(ev.evaluate(cli._scorer(model, train), train, test, [5, 20]))
+        assert sum(sizes) == users.size and min(sizes) > 1 and len(sizes) > 1
+    assert max(sizes) == lone + 1  # the last block, which took in the lone user
+    assert reports[0] == reports[1] == reports[2]
 
 
 def _pool(monkeypatch, cpus, blas_threads=1):
@@ -506,6 +559,7 @@ def _ragged_split():
 @pytest.mark.parametrize("variant", ["wrmf", "pop"])
 def test_evaluate_on_a_pool_equals_the_serial_run_and_reference(monkeypatch, variant):
     monkeypatch.setattr(ev, "BLOCK_SCORES", 4 * (80 + 4 * 10))  # 8 blocks, the last of 2
+    monkeypatch.setattr(ev, "MIN_BLOCK", 1)
     model, train, test = _ragged_split()
     if variant == "pop":
         model = None
@@ -534,6 +588,7 @@ def test_evaluate_on_a_pool_equals_the_serial_run_and_reference(monkeypatch, var
 
 def test_worker_count_is_the_cpus_over_the_blas_threads(monkeypatch):
     monkeypatch.setattr(ev, "BLOCK_SCORES", 4 * (80 + 4 * 10))
+    monkeypatch.setattr(ev, "MIN_BLOCK", 1)
     model, train, test = _ragged_split()
     for cpus, threads, want in ((2, 1, [2]), (4, 2, [2]), (2, 2, []), (1, 1, []),
                                 (64, 1, [8]), (2, 4, [])):
@@ -544,6 +599,7 @@ def test_worker_count_is_the_cpus_over_the_blas_threads(monkeypatch):
 
 def test_nan_scores_in_a_worker_block_raise_numerical_error(monkeypatch):
     monkeypatch.setattr(ev, "BLOCK_SCORES", 4 * (80 + 4 * 10))
+    monkeypatch.setattr(ev, "MIN_BLOCK", 1)
     model, train, test = _ragged_split()
     pools = _pool(monkeypatch, cpus=4)
     first = np.flatnonzero(np.diff(test.matrix.indptr))[0]
@@ -565,10 +621,14 @@ def test_blas_thread_reader_falls_back_without_a_mapped_openblas(monkeypatch):
     def no_proc(*args, **kwargs):
         raise FileNotFoundError("/proc/self/maps")
 
-    for fake in (lambda *a, **kw: io.StringIO("7f00-7f01 r-xp 0 08:01 1 /usr/lib/libc.so.6\n"),
-                 no_proc):
-        monkeypatch.setattr(blas, "open", fake, raising=False)
-        assert blas.threads() is None
+    try:
+        for fake in (lambda *a, **kw: io.StringIO("7f00-7f01 r-xp 0 08:01 1 /usr/lib/libc.so.6\n"),
+                     no_proc):
+            monkeypatch.setattr(blas, "open", fake, raising=False)
+            blas._libraries.cache_clear()  # the lookup is made once per process
+            assert blas.threads() is None
+    finally:  # the next lookup reads the real maps again
+        blas._libraries.cache_clear()
 
 
 @pytest.mark.parametrize("threads", [1, 2])

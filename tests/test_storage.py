@@ -1,4 +1,8 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,3 +342,48 @@ def test_interactions_shape_reads_the_header_and_checks_the_length(tmp_path):
         path.write_bytes(data)
         with pytest.raises(DataError, match=f"r\\.bin: {message}"):
             storage.interactions_shape(path)
+
+
+def test_cache_headers_are_read_without_mapping_the_file(tmp_path, monkeypatch):
+    path = tmp_path / "r.bin"
+    storage.write_interactions(path, sparse.csr_matrix(np.eye(3, 5)))
+    monkeypatch.setattr(storage.mmap, "mmap", lambda *a, **kw: pytest.fail("mapped"))
+    assert storage.interactions_shape(path) == (3, 5)
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(DataError, match=r"r\.bin: truncated cache file"):
+        storage.interactions_shape(path)
+
+
+_REPLACE_MAPPED = """
+import sys
+import numpy as np
+from attnrec import storage
+path = sys.argv[1]
+old = np.arange(1 << 17, dtype=np.float32)   # 512 KiB: pages a header read leaves unread
+storage.write_tensors(path, {"w": old})
+live, _ = storage.read_tensors(path)         # views of the mapped file
+storage.write_tensors(path, {"w": np.ones(3)})
+assert np.array_equal(live["w"], old)        # an in-place truncation would SIGBUS here
+assert storage.read_tensors(path)[0]["w"].tolist() == [1.0, 1.0, 1.0]
+"""
+
+
+def test_write_tensors_replaces_a_mapped_checkpoint_whole(tmp_path):
+    # In a child process, so that a SIGBUS fails this test instead of the run.
+    src = str(Path(storage.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", _REPLACE_MAPPED, str(tmp_path / "ckpt.bin")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin"]
+
+
+def test_a_failed_write_leaves_the_old_file(tmp_path):
+    path = tmp_path / "ckpt.bin"
+    storage.write_tensors(path, {"w": np.arange(4.0)}, {"n": 1})
+    raw = path.read_bytes()
+    with pytest.raises(TypeError):  # "a" is written before "b" fails to convert
+        storage.write_tensors(path, {"a": np.ones(2), "b": object()})
+    with pytest.raises(OverflowError):  # after its magic, a width no u32 holds
+        storage.write_interactions(path, sparse.csr_matrix((1, 1 << 32)))
+    assert path.read_bytes() == raw
