@@ -3,6 +3,7 @@
 import ctypes
 import functools
 import logging
+import threading
 from contextlib import contextmanager
 
 import scipy.linalg  # noqa: F401  maps scipy's own OpenBLAS before the lookup below is cached
@@ -10,6 +11,8 @@ import scipy.linalg  # noqa: F401  maps scipy's own OpenBLAS before the lookup b
 logger = logging.getLogger(__name__)
 _NAMES = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",  # wheels
           "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+_LOCK = threading.Lock()
+_depth, _saved = 0, []  # pins held now, in any thread; the counts the first one saved
 
 
 @functools.cache  # once per process: reading the maps costs about 0.5 ms
@@ -32,22 +35,26 @@ def _libraries() -> list:
     return found
 
 
-def threads():
-    """Threads of the first mapped OpenBLAS; None if none is found."""
-    return next((get() for get, _ in _libraries()), None)
-
-
 @contextmanager
 def single_threaded():
     """Run with every mapped OpenBLAS at one thread, so a product's bits do not
-    depend on how it is split between threads; restore each count after."""
-    libs = [(put, get()) for get, put in _libraries()]
-    if not libs:
-        logger.debug("no OpenBLAS thread-count functions found; BLAS threads left as they are")
-    for put, _ in libs:
-        put(1)
+    depend on how it is split between threads; yield whether one was found.
+    Pins nest, across threads too: the first in saves each count and sets it
+    to 1, and the last out restores it."""
+    global _depth, _saved
+    with _LOCK:
+        if _depth == 0:
+            _saved = [(put, get()) for get, put in _libraries()]
+            if not _saved:
+                logger.debug("no OpenBLAS thread-count functions found; BLAS threads left as is")
+            for put, _ in _saved:
+                put(1)
+        _depth += 1
     try:
-        yield
+        yield bool(_saved)  # no pin resets it while this one is held
     finally:
-        for put, count in libs:
-            put(count)
+        with _LOCK:
+            _depth -= 1
+            if _depth == 0:
+                for put, count in _saved:
+                    put(count)

@@ -27,7 +27,7 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -171,12 +171,6 @@ def _sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def _write_json(path, obj, indent=2):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=indent, sort_keys=True)
-        fh.write("\n")
-
-
 def _stage(config: ExperimentConfig, kind: str, key: dict, build=None, reads=None) -> str:
     """The directory ``<out_dir>/<kind>-<hash of key>`` of one pipeline stage.
 
@@ -220,7 +214,7 @@ def _stage(config: ExperimentConfig, kind: str, key: dict, build=None, reads=Non
         os.chmod(tmp, 0o755)  # mkdtemp makes it private to the owner
         stats = build(tmp)
         files = {n: _sha256_file(os.path.join(tmp, n)) for n in sorted(os.listdir(tmp))}
-        _write_json(os.path.join(tmp, "manifest.json"), {**key, "stats": stats, "files": files})
+        storage.write_json(os.path.join(tmp, "manifest.json"), dict(key, stats=stats, files=files))
         try:
             os.rename(tmp, final)
         except OSError:
@@ -385,7 +379,7 @@ def _pretrain(config: ExperimentConfig, name: str, pre: str, tmp: str) -> dict:
     logger.info("%s autoencoder: %d epochs, final loss %s", name, len(losses),
                 losses[-1] if losses else "n/a")
     ae_mod.save_autoencoder(model, os.path.join(tmp, f"{name}_ae.bin"))
-    _write_json(os.path.join(tmp, f"{name}_ae_loss.json"), losses, indent=None)
+    storage.write_json(os.path.join(tmp, f"{name}_ae_loss.json"), losses, indent=None)
     ae_mod.save_latent(os.path.join(tmp, "latent.bin"), model.encode(matrix))
     return {}
 
@@ -427,7 +421,7 @@ def _fit(config: ExperimentConfig, pre: str, stages: dict, tmp: str) -> dict:
         traces[str(index)] = trace
         logger.info("split %d: %d sweeps, objective %.6f -> %.6f",
                     index, len(trace) - 1, trace[0], trace[-1])
-    _write_json(os.path.join(tmp, "objective_trace.json"), traces)
+    storage.write_json(os.path.join(tmp, "objective_trace.json"), traces)
     return {"sweeps": {k: len(v) - 1 for k, v in traces.items()}}
 
 
@@ -513,7 +507,7 @@ def cmd_evaluate(config: ExperimentConfig, args) -> int:
                                                setting=f"P={config.p}", split=index))
         reports = [out + evaluation.average_reports(out) for out in reports]
         evaluation.reports_to_csv(reports[0], os.path.join(tmp, "reports.csv"))
-        evaluation.reports_to_json(reports[0], os.path.join(tmp, "reports.json"))
+        storage.write_json(os.path.join(tmp, "reports.json"), [asdict(r) for r in reports[0]])
         if args.compare:  # gains over the comparison variant's cross-split averages, in %
             ours = {r.k: r for r in reports[0] if r.split == -1}
             base = {r.k: r for r in reports[1] if r.split == -1}
@@ -522,7 +516,7 @@ def cmd_evaluate(config: ExperimentConfig, args) -> int:
                      "recall_improvement_pct": gain(ours[k].recall, base[k].recall),
                      "ndcg_improvement_pct": gain(ours[k].ndcg, base[k].ndcg)}
                     for k in sorted(ours) if k in base]
-            _write_json(os.path.join(tmp, "improvement.json"), rows)
+            storage.write_json(os.path.join(tmp, "improvement.json"), rows)
             with open(os.path.join(tmp, "improvement.csv"), "w") as fh:
                 fh.write("k,baseline,recall_improvement_pct,ndcg_improvement_pct\n")
                 fh.writelines(f"{r['k']},{r['baseline']},{r['recall_improvement_pct']:.6f},"

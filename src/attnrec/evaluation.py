@@ -10,10 +10,9 @@ are reproducible across runs and platforms.
 from __future__ import annotations
 
 import csv
-import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -201,7 +200,8 @@ def evaluate(score_fn, r_train: InteractionMatrix, r_test: InteractionMatrix,
     article scores: a (len(users), n_articles) block, or one (n_articles,)
     row, sorted once, when the scores do not depend on the user. Users are
     ranked in blocks of about BLOCK_SCORES values but at least MIN_BLOCK users,
-    training articles excluded, on min(blocks, CPUs // BLAS threads) threads.
+    training articles excluded, with BLAS pinned to one thread, on
+    min(blocks, CPUs) threads, or on one where no OpenBLAS is found to pin.
     """
     ks = sorted(int(k) for k in ks)
     users = np.flatnonzero(np.diff(r_test.matrix.indptr))
@@ -210,8 +210,6 @@ def evaluate(score_fn, r_train: InteractionMatrix, r_test: InteractionMatrix,
     # a user takes n_articles scores and about four K-wide arrays to rank
     step = max(MIN_BLOCK, BLOCK_SCORES // (r_test.n_articles + 4 * min(ks[-1], r_test.n_articles)))
     blocks = [users[lo:hi] for lo, hi in _batch_slices(users.size, step)]
-    probe = score_fn(users[:1])  # a shared row is sorted once, before the blocks start
-    order = np.argsort(-np.asarray(probe, float), kind="stable") if np.ndim(probe) == 1 else None
 
     def rank(block):
         ranked = top_k(score_fn(block), ks[-1], exclude=_cut(r_train.matrix, block), order=order)
@@ -220,12 +218,15 @@ def evaluate(score_fn, r_train: InteractionMatrix, r_test: InteractionMatrix,
 
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    workers = min(len(blocks), cpus // (blas.threads() or cpus))  # unread: 1
-    if workers > 1:
-        with ThreadPoolExecutor(workers) as pool:
-            values = np.concatenate(list(pool.map(rank, blocks)))
-    else:
-        values = np.concatenate([rank(block) for block in blocks])
+    with blas.single_threaded() as pinned:
+        probe = np.asarray(score_fn(users[:1]), float)  # a shared row is sorted once, here
+        order = np.argsort(-probe, kind="stable") if probe.ndim == 1 else None
+        workers = min(len(blocks), cpus) if pinned else 1  # else BLAS may take every CPU
+        if workers > 1:
+            with ThreadPoolExecutor(workers) as pool:
+                values = np.concatenate(list(pool.map(rank, blocks)))
+        else:
+            values = np.concatenate([rank(block) for block in blocks])
     sums = np.cumsum(values, axis=0)[-1] / users.size  # summed in user order
     return [MetricReport(variant, setting, split, k, float(sums[0, j]),
                          float(sums[1, j]), int(users.size))
@@ -257,8 +258,3 @@ def reports_to_csv(reports: list, path):
             writer.writerow([rep.variant, rep.setting, rep.split, rep.k,
                              f"{rep.recall:.10f}", f"{rep.ndcg:.10f}", rep.n_users])
 
-
-def reports_to_json(reports: list, path):
-    with open(path, "w") as fh:
-        json.dump([asdict(rep) for rep in reports], fh, indent=2, sort_keys=True)
-        fh.write("\n")

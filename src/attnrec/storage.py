@@ -213,3 +213,10 @@ def read_tensors(path):
         raise DataError(f"{path}: damaged tensor container: {exc}") from None
     reader.finish()
     return tensors, meta
+
+
+def write_json(path, obj, indent=2):
+    """A JSON artifact, written in place: sorted keys, ``indent``, a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=indent, sort_keys=True)
+        fh.write("\n")

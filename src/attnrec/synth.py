@@ -18,7 +18,6 @@ Output files use the CiteULike text conventions the preprocessor expects:
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import asdict, dataclass
 
@@ -163,6 +162,7 @@ def _counted(rows):
 
 
 def write_dataset(data: SynthData, out_dir):
+    from . import storage  # here, so that importing synth loads neither storage nor scipy
     os.makedirs(out_dir, exist_ok=True)
     cited = [[] for _ in data.tags]
     for citing, target in data.citations:
@@ -172,11 +172,6 @@ def write_dataset(data: SynthData, out_dir):
     for name, lines in files.items():
         with open(os.path.join(out_dir, name), "w") as fh:
             fh.writelines(line + "\n" for line in lines)
-    truth = {
+    storage.write_json(os.path.join(out_dir, "truth.json"), {
         "article_cluster": [int(x) for x in data.article_cluster],
-        "user_clusters": data.user_clusters,
-        "config": asdict(data.config),
-    }
-    with open(os.path.join(out_dir, "truth.json"), "w") as fh:
-        json.dump(truth, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        "user_clusters": data.user_clusters, "config": asdict(data.config)})

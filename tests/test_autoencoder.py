@@ -1,6 +1,8 @@
+import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -268,11 +270,87 @@ def test_pretrain_and_encode_bits_do_not_depend_on_the_blas_thread_count():
     assert len(digests) == 1
 
 
+def _blas_threads():
+    """Threads of each mapped OpenBLAS, read through the pin's own lookup."""
+    return [get() for get, _ in blas._libraries()]
+
+
 def test_blas_pin_restores_each_thread_count():
-    before = blas.threads()
+    before = _blas_threads()
+    with blas.single_threaded() as pinned:
+        assert _blas_threads() == [1] * len(before) and pinned == bool(before)
+    assert _blas_threads() == before
+
+
+def test_blas_pin_holds_while_many_threads_pin_at_once():
+    # More threads than cores, switching as often as they can: a lost update
+    # of the pin count would restore a count inside some pin, or none after.
+    before, seen = _blas_threads(), []
+
+    def pin_often():
+        for _ in range(200):
+            with blas.single_threaded():
+                seen.append(_blas_threads())
+
+    threads = [threading.Thread(target=pin_often) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(seen) == 8 * 200 and all(counts == [1] * len(before) for counts in seen)
+    assert _blas_threads() == before
+
+
+_INTERLEAVED_PINS = """
+import json
+import threading
+from attnrec import blas
+read = lambda: [get() for get, _ in blas._libraries()]
+a_in, b_in, a_out, seen = threading.Event(), threading.Event(), threading.Event(), {}
+
+def a():  # pins first and leaves first
     with blas.single_threaded():
-        assert blas.threads() in (None, 1)
-    assert blas.threads() == before
+        a_in.set()
+        assert b_in.wait(60)
+    a_out.set()
+
+def b():  # pins while a holds its pin, and leaves after a
+    assert a_in.wait(60)
+    with blas.single_threaded():
+        b_in.set()
+        assert a_out.wait(60)
+        seen["inside"] = read()
+
+before = read()
+threads = [threading.Thread(target=f) for f in (a, b)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+print(json.dumps([before, seen["inside"], read()]))
+"""
+
+
+def test_blas_pin_nests_across_threads():
+    # A pin that saved and restored the counts by itself would hand b the two
+    # threads that a restored on leaving, and leave one thread set after both.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if cpus < 2:
+        pytest.skip(f"OpenBLAS caps its threads at the {cpus} CPU of this host")
+    src = str(Path(blas.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", _INTERLEAVED_PINS], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    before, inside, after = json.loads(done.stdout)
+    assert before and set(before) == {2}
+    assert inside == [1] * len(before) and after == before
 
 
 def test_nan_parameter_raises_numerical_error_at_the_first_loss():

@@ -772,7 +772,7 @@ def test_nan_scores_in_a_worker_block_exit_3(workspace, capsys, monkeypatch):
     # blocks of 5 users on a pool of 4, on any host
     monkeypatch.setattr(evaluation, "BLOCK_SCORES", 5 * (60 + 4 * 10))
     monkeypatch.setattr(evaluation, "MIN_BLOCK", 1)
-    monkeypatch.setattr(evaluation.blas, "threads", lambda: 1)
+    monkeypatch.setattr(evaluation.blas, "_libraries", lambda: [(lambda: 1, lambda n: None)])
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     real, callers = cli.cf.predict_scores, []
 
@@ -809,9 +809,9 @@ def test_evaluate_scores_an_f_order_v_and_recommend_a_c_order_one(workspace, mon
 
 
 def test_evaluate_stage_is_byte_identical_across_blas_thread_counts(tmp_path):
-    # At OPENBLAS_NUM_THREADS=1 evaluate ranks the README quick start's four
-    # user blocks on one thread per CPU; at 2 it gets half as many (on two
-    # CPUs, none). Both must publish the same stage and print the same lines.
+    # evaluate pins BLAS to one thread and ranks the README quick start's four
+    # user blocks on one thread per CPU, whatever OPENBLAS_NUM_THREADS says;
+    # both runs must publish the same stage and print the same lines.
     data, runs = tmp_path / "data", tmp_path / "runs"
     flags = ["--data-dir", str(data), "--variant", "cata++", "--d", "25",
              "--text-widths", "100,25", "--tag-widths", "25", "--epochs", "5",

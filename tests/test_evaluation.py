@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import _eval_reference as ref
-from attnrec import blas, cf, cli
+from attnrec import blas, cf, cli, storage
 from attnrec import evaluation as ev
 from attnrec.corpus import InteractionMatrix
 from attnrec.errors import ConfigError, NumericalError
@@ -201,7 +202,7 @@ def test_report_writers_roundtrip(tmp_path):
     csv_path = tmp_path / "reports.csv"
     json_path = tmp_path / "reports.json"
     ev.reports_to_csv(reports, csv_path)
-    ev.reports_to_json(reports, json_path)
+    storage.write_json(json_path, [asdict(rep) for rep in reports])
     with open(csv_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
@@ -211,6 +212,7 @@ def test_report_writers_roundtrip(tmp_path):
     data = json.loads(json_path.read_text())
     assert data[0]["ndcg"] == 0.125
     assert data[0]["setting"] == "P=10"
+    assert json_path.read_text() == json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def _same_matrix(a, b):
@@ -531,9 +533,12 @@ def test_evaluate_reports_equal_across_block_layouts(monkeypatch):
 
 
 def _pool(monkeypatch, cpus, blas_threads=1):
-    """Make evaluate see ``cpus`` CPUs and an OpenBLAS of ``blas_threads``
-    threads on any host; returns the worker counts of the pools it starts."""
-    monkeypatch.setattr(blas, "threads", lambda: blas_threads)
+    """Make evaluate see ``cpus`` CPUs and one OpenBLAS of ``blas_threads``
+    threads, or none at None, on any host; returns the worker counts of the
+    pools it starts."""
+    count = [blas_threads]
+    monkeypatch.setattr(blas, "_libraries", lambda: [] if blas_threads is None else [
+        (lambda: count[0], lambda n: count.__setitem__(0, n))])
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     pools = []
 
@@ -569,7 +574,7 @@ def test_evaluate_on_a_pool_equals_the_serial_run_and_reference(monkeypatch, var
     sizes, real = [], ev.top_k
     monkeypatch.setattr(ev, "top_k", lambda s, k, **kw: sizes.append(kw["exclude"].shape[0])
                         or real(s, k, **kw))
-    pools = _pool(monkeypatch, cpus=8, blas_threads=None)  # BLAS unread: serial
+    pools = _pool(monkeypatch, cpus=8, blas_threads=None)  # no OpenBLAS to pin: serial
     serial = ev.evaluate(cli._scorer(model, train), train, test, [5, 10])
     assert pools == [] and serial == reference and sizes == [4] * 7 + [2]
     # more workers than this host has cores, switching threads as often as it can
@@ -586,15 +591,16 @@ def test_evaluate_on_a_pool_equals_the_serial_run_and_reference(monkeypatch, var
     assert pools == [8] * 5
 
 
-def test_worker_count_is_the_cpus_over_the_blas_threads(monkeypatch):
-    monkeypatch.setattr(ev, "BLOCK_SCORES", 4 * (80 + 4 * 10))
+def test_worker_count_is_the_blocks_or_cpus_whatever_the_blas_count(monkeypatch):
+    monkeypatch.setattr(ev, "BLOCK_SCORES", 4 * (80 + 4 * 10))  # 8 blocks
     monkeypatch.setattr(ev, "MIN_BLOCK", 1)
     model, train, test = _ragged_split()
-    for cpus, threads, want in ((2, 1, [2]), (4, 2, [2]), (2, 2, []), (1, 1, []),
-                                (64, 1, [8]), (2, 4, [])):
+    for cpus, threads, want in ((2, 1, [2]), (4, 2, [4]), (2, 2, [2]), (1, 1, []),
+                                (64, 1, [8]), (2, 4, [2]), (2, None, []), (64, None, [])):
         pools = _pool(monkeypatch, cpus, threads)
         ev.evaluate(cli._scorer(model, train), train, test, [5, 10])
         assert pools == want, (cpus, threads)
+        assert [get() for get, _ in blas._libraries()] == ([] if threads is None else [threads])
 
 
 def test_nan_scores_in_a_worker_block_raise_numerical_error(monkeypatch):
@@ -626,7 +632,9 @@ def test_blas_thread_reader_falls_back_without_a_mapped_openblas(monkeypatch):
                      no_proc):
             monkeypatch.setattr(blas, "open", fake, raising=False)
             blas._libraries.cache_clear()  # the lookup is made once per process
-            assert blas.threads() is None
+            assert blas._libraries() == []
+            with blas.single_threaded() as pinned:
+                assert pinned is False
     finally:  # the next lookup reads the real maps again
         blas._libraries.cache_clear()
 
@@ -639,10 +647,45 @@ def test_blas_thread_reader_reads_the_loaded_openblas(threads):
     src = str(Path(ev.__file__).resolve().parents[1])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "from attnrec import evaluation; print(evaluation.blas.threads())"
+    code = "from attnrec import blas; print([get() for get, _ in blas._libraries()])"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
-    assert done.stdout.strip() == str(threads)
+    counts = json.loads(done.stdout)
+    assert counts and set(counts) == {threads}
+
+
+_SCORED_THREADS = """
+import json
+import numpy as np
+from attnrec import blas, cf
+from attnrec import evaluation as ev
+from attnrec.corpus import InteractionMatrix
+users, articles = np.nonzero(np.random.default_rng(14).random((30, 80)) < 0.08)
+r = InteractionMatrix.from_pairs(users, articles, 30, 80)
+train, test = ev.make_split(r, 1, np.random.default_rng(2))
+model = cf.init_model(30, 80, 4, lambda_u=0.1, lambda_v=0.1, seed=3)
+ev.BLOCK_SCORES, ev.MIN_BLOCK = 4 * (80 + 4 * 10), 1  # several blocks, so a pool
+read, seen = lambda: [get() for get, _ in blas._libraries()], []
+
+def score_fn(block):
+    seen.append(read())
+    return cf.predict_scores(model, block)
+
+before = read()
+ev.evaluate(score_fn, train, test, [5, 10])
+print(json.dumps([before, seen, read()]))
+"""
+
+
+def test_evaluate_scores_every_block_at_one_blas_thread():
+    src = str(Path(ev.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", _SCORED_THREADS], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    before, seen, after = json.loads(done.stdout)
+    assert before and len(seen) > 2  # the probe and every block
+    assert all(counts == [1] * len(before) for counts in seen) and after == before
 
 
 @pytest.mark.parametrize("seed", range(4))
